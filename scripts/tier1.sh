@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate (ROADMAP.md): plain build + full test suite, the chaos
-# suite again under thread sanitizer, and the bench regression gate. A
-# chaos failure prints the fault schedule (seed, drop rate, partition/
-# crash windows) to replay.
+# Tier-1 gate (ROADMAP.md): plain build + full test suite, every
+# tsan-labelled suite again under thread sanitizer, and the bench
+# regression gate. A chaos failure prints the fault schedule (seed, drop
+# rate, partition/crash windows) to replay.
 #
 #   scripts/tier1.sh                      # gate against committed baselines
 #   scripts/tier1.sh --update-baselines   # re-baseline after an intentional
@@ -35,15 +35,18 @@ scripts/trace_check.sh build
 echo "== tier 1: folded-profile export + reset contract =="
 scripts/profile_check.sh build
 
-echo "== tier 1: chaos + plan-differential + profiler suites under ThreadSanitizer =="
+echo "== tier 1: every tsan-labelled suite under ThreadSanitizer =="
 cmake -B build-tsan -S . -DCODA_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"$(nproc)" \
-    --target test_chaos test_plan_compiler test_profiler
-ctest --test-dir build-tsan -L chaos --output-on-failure
-ctest --test-dir build-tsan -R '^test_plan_compiler$' --output-on-failure
-# The profiler's lock-free arenas and the pool/timerwheel instrumentation
-# get their data-race probe here (the submit storm in test_profiler).
-ctest --test-dir build-tsan -R '^test_profiler$' --output-on-failure
+# Test targets are named after their ctest entries, so the label's test
+# list is also its build target list.
+mapfile -t TSAN_TESTS < <(ctest --test-dir build-tsan -N -L tsan |
+    sed -n 's/^ *Test *#[0-9]*: *//p')
+if [[ ${#TSAN_TESTS[@]} -eq 0 ]]; then
+  echo "tier 1: no tsan-labelled tests found" >&2
+  exit 1
+fi
+cmake --build build-tsan -j"$(nproc)" --target "${TSAN_TESTS[@]}"
+ctest --test-dir build-tsan -L tsan --output-on-failure
 
 echo "== tier 1: bench regression gate (scripts/bench_gate.py) =="
 python3 scripts/bench_gate.py --self-test

@@ -1,12 +1,16 @@
 #include "src/core/eval_engine.h"
 
-#include "src/core/search_scheduler.h"
-
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
+#include <numeric>
+#include <tuple>
 #include <utility>
+
+#include "src/core/search_scheduler.h"
 
 #include "src/obs/obs.h"
 #include "src/util/stopwatch.h"
@@ -20,6 +24,23 @@ namespace {
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+/// Mean and population stddev of `scores` ({0, 0} when empty): the one
+/// formula behind every reported and published result, so a result a peer
+/// publishes is bit-identical to the one this client would report.
+std::pair<double, double> mean_stddev(const std::vector<double>& scores) {
+  if (scores.empty()) return {0.0, 0.0};
+  const double k = static_cast<double>(scores.size());
+  double sum = 0.0;
+  for (const double sc : scores) sum += sc;
+  const double mean = sum / k;
+  double var = 0.0;
+  for (const double sc : scores) {
+    const double d = sc - mean;
+    var += d * d;
+  }
+  return {mean, std::sqrt(var / k)};
 }
 
 }  // namespace
@@ -239,9 +260,6 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
                                  std::size_t n_folds) const {
   require(!candidates.empty(), "EvalEngine: no candidates");
   require(n_folds > 0, "EvalEngine: need at least one fold");
-  if (options_.search.strategy == SearchStrategy::kHalving) {
-    return detail::run_halving_search(options_, candidates, n_folds);
-  }
   obs::ScopedSpan span("evaluator.evaluate");
   PROF_SCOPE("eval.run");
   // Captured for pool/wheel tasks: thread-local parenting does not cross a
@@ -258,30 +276,71 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
   // fire once per candidate/fold, not per row — the name lookup is cheap
   // relative to the work they account.
 
+  // One racing loop runs every search (DESIGN.md §16): exhaustive search is
+  // the one-rung plan, halving adds racing rungs in front of the final one.
   const std::size_t n = candidates.size();
+  const SearchOptions& search = options_.search;
+  const HalvingPlan plan = search.strategy == SearchStrategy::kHalving
+                               ? HalvingPlan::build(n, n_folds, search.eta)
+                               : HalvingPlan::exhaustive(n, n_folds);
+  // A lone rung spans every fold, so its units claim and publish the plain
+  // base key — the key the initial sweep fetches.
+  const bool single_rung = plan.rungs.size() == 1;
+  const std::vector<std::size_t> tie_rank = tournament_ranks(n, search.seed);
+  const bool maximize = higher_is_better(options_.metric);
+
+  // The saving is a property of the plan, not the schedule — count it once
+  // up front so it is identical on every client and under every chaos
+  // interleaving.
+  const std::size_t saved =
+      plan.exhaustive_fold_evals() - plan.total_fold_evals();
+  if (saved > 0) obs::count_scoped("eval.search.fold_evals_saved", saved);
+
   EvaluationReport report;
   report.metric = options_.metric;
-  report.fold_evaluations_planned = n * n_folds;
   report.results.resize(n);
   for (std::size_t i = 0; i < n; ++i) report.results[i].spec = candidates[i].spec;
+  report.fold_evaluations_planned = plan.total_fold_evals();
+  report.rungs = plan.rungs.size();
 
-  auto serve = [&](std::size_t i, const CachedResult& hit,
-                   double eval_seconds) {
-    CandidateResult& out = report.results[i];
-    out.mean_score = hit.mean_score;
-    out.stddev = hit.stddev;
-    out.fold_scores = hit.fold_scores;
-    out.from_cache = true;
-    out.eval_seconds = eval_seconds;
-    obs::count_scoped("evaluator.candidate.cached");
-    obs::CandidateCosts::instance().record_cached(candidates[i].spec);
+  // Racing state per candidate. Non-atomic fields are guarded by `mutex`
+  // except those only touched by the candidate's own attempt chain
+  // (attempts for one unit never overlap — each is scheduled by its
+  // predecessor's requeue, and a candidate runs one rung at a time).
+  struct Cand {
+    std::vector<double> fold_scores;  ///< valid prefix [0, folds_known)
+    std::size_t folds_known = 0;
+    bool swept = false;         ///< full result served by the initial sweep
+    bool computed_any = false;  ///< scored at least one fold locally
+    int pruned_at = -1;
+    double compute_seconds = 0.0;
+    double claim_wait = 0.0;
+    std::atomic<bool> failed{false};
+    std::string failure_message;
+    // Current-rung unit state.
+    bool holds_token = false;   ///< occupies a slot of the claim window
+    bool deferred = false;      ///< claim-blocked, parked on the wheel
+    bool was_deferred = false;  ///< counter guard (once per candidate)
+    bool deadline_set = false;
+    std::chrono::steady_clock::time_point block_start{};
+    std::chrono::steady_clock::time_point deadline{};
+    std::atomic<std::size_t> folds_left{0};
   };
+  std::vector<std::unique_ptr<Cand>> cands(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cands[i] = std::make_unique<Cand>();
+    cands[i]->fold_scores.assign(n_folds, 0.0);
+  }
 
-  // Initial sweep: one batched lookup answers every already-shared
-  // candidate before any scheduling machinery spins up.
+  // Initial sweep: one batched lookup of the plain base keys answers every
+  // candidate any client already finished (a peer, an earlier run, or a
+  // completed halving search) before any scheduling machinery spins up. A
+  // swept candidate still ranks in every rung via its full fold scores,
+  // which can only sharpen prune decisions. Only a full-CV result counts:
+  // a hit with the wrong fold count is ignored and recomputed.
   CooperativeFetch coop(options_.cache);
-  std::vector<char> done(n, 0);
-  std::size_t remaining = n;
+  std::atomic<std::size_t> local_fold_evals{0};
+  std::size_t remaining = n;  ///< candidates the sweep did not answer
   if (coop.cooperative()) {
     PROF_SCOPE("eval.sweep");
     std::vector<std::string> keys;
@@ -291,324 +350,477 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     const auto hits = coop.fetch_many(keys);
     const double per_key = sweep_timer.elapsed_seconds() / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (!hits[i].has_value()) continue;
-      serve(i, *hits[i], per_key);
-      done[i] = 1;
+      if (!hits[i].has_value() || hits[i]->fold_scores.size() != n_folds) {
+        continue;
+      }
+      Cand& c = *cands[i];
+      c.swept = true;
+      c.fold_scores = hits[i]->fold_scores;
+      c.folds_known = n_folds;
       --remaining;
+      CandidateResult& out = report.results[i];
+      out.mean_score = hits[i]->mean_score;
+      out.stddev = hits[i]->stddev;
+      out.fold_scores = hits[i]->fold_scores;
+      out.from_cache = true;
+      out.eval_seconds = per_key;
+      obs::count_scoped("evaluator.candidate.cached");
+      obs::CandidateCosts::instance().record_cached(candidates[i].spec);
     }
   }
 
-  std::atomic<std::size_t> local_fold_evals{0};
-  if (remaining > 0) {
-    PrefixCache prefixes(options_.prefix_cache_bytes);
+  PrefixCache prefixes(options_.prefix_cache_bytes);
 
-    // Per-candidate scheduling state. Fields other than the atomics are
-    // guarded by `mutex` except where a field is only touched by the
-    // candidate's own attempt chain (attempts for one candidate never
-    // overlap: each is scheduled by its predecessor's requeue).
-    struct Slot {
-      std::chrono::steady_clock::time_point start{};
-      bool started = false;
-      bool holds_token = false;   ///< occupies a slot of the claim window
-      bool deferred = false;      ///< currently claim-blocked, on the wheel
-      bool was_deferred = false;  ///< deferred at least once (counter guard)
-      bool deadline_set = false;
-      std::chrono::steady_clock::time_point block_start{};
-      std::chrono::steady_clock::time_point deadline{};
-      double claim_wait = 0.0;
-      std::vector<double> fold_scores;
-      std::atomic<std::size_t> folds_left{0};
-      std::atomic<bool> failed{false};
-      std::string failure_message;
-    };
-    std::vector<std::unique_ptr<Slot>> slots(n);
-    for (std::size_t i = 0; i < n; ++i) slots[i] = std::make_unique<Slot>();
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  bool all_done = false;
+  std::size_t rung_index = 0;
+  std::vector<std::size_t> entrants(n);
+  std::iota(entrants.begin(), entrants.end(), std::size_t{0});
+  std::size_t outstanding = 0;  ///< unresolved units in the current rung
+  // Unresolved units not claim-blocked — i.e. local work still exists. A
+  // blocked unit's local-compute deadline only starts once this reaches
+  // zero: while peers make progress AND we still have other units to
+  // score, waiting costs nothing (no worker parks).
+  std::size_t unblocked = 0;
+  std::deque<std::size_t> unit_queue;
+  std::size_t pruned_total = 0;
 
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t pending = remaining;
-    // Candidates that are unfinished and not claim-blocked — i.e. local work
-    // still exists. A blocked candidate's local-compute deadline only starts
-    // once this reaches zero: while peers make progress AND we still have
-    // other candidates to score, waiting costs nothing (no worker parks).
-    std::size_t unblocked = remaining;
-    std::deque<std::size_t> next_queue;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!done[i]) next_queue.push_back(i);
-    }
+  // Cooperative key of candidate i's unit in rung r.
+  auto unit_key = [&](std::size_t i, std::size_t r) {
+    return single_rung ? candidates[i].key
+                       : rung_key(candidates[i].key, search, r);
+  };
 
-    // Declared before the pool/wheel (and assigned after) so they are
-    // destroyed only once the pool has joined its workers — a worker is
-    // always inside one of these callables while it runs engine work.
-    std::function<void()> dispatch_locked;
-    std::function<void(std::size_t)> complete;
-    std::function<void(std::size_t)> attempt;
-    std::function<void(std::size_t, std::size_t)> run_fold;
-    std::function<void(std::size_t)> finalize;
-    // Claim window: at most pool.size() candidates are claimed-but-
-    // unfinished at once, so a client claims work just before it has the
-    // capacity to score it — claiming the whole graph up front would
-    // starve cooperating peers.
-    std::size_t tokens = 0;
+  // Mean over the candidate's known fold prefix, truncated to `fold_end`.
+  // Caller holds `mutex`.
+  auto partial_mean = [&](std::size_t i, std::size_t fold_end) {
+    const Cand& c = *cands[i];
+    const std::size_t k = std::min(fold_end, c.folds_known);
+    if (k == 0) return 0.0;
+    double sum = 0.0;
+    for (std::size_t f = 0; f < k; ++f) sum += c.fold_scores[f];
+    return sum / static_cast<double>(k);
+  };
 
-    ThreadPool pool(options_.threads);
-    tokens = pool.size();
+  // Declared before the pool/wheel (and assigned after) so they are
+  // destroyed only once the pool has joined its workers — a worker is
+  // always inside one of these callables while it runs engine work.
+  std::function<void()> dispatch_locked;
+  std::function<void(std::size_t)> attempt;
+  std::function<void(std::size_t, std::size_t, std::size_t)> run_fold;
+  std::function<void(std::size_t, std::size_t)> finish_unit;
+  std::function<void(std::size_t)> unit_done;
+  std::function<void(std::size_t)> finalize_locked;
+  std::function<void()> seal_locked;
+  std::function<void()> start_rung_locked;
+  // Claim window: at most pool.size() units are claimed-but-unfinished at
+  // once, so a client claims work just before it has the capacity to score
+  // it — claiming the whole graph up front would starve cooperating peers.
+  std::size_t tokens = 0;
+
+  // Spun up only when the sweep left something to score. `wheel` is
+  // declared last, so it is destroyed first and can no longer re-submit
+  // into `pool`.
+  struct Workers {
+    explicit Workers(std::size_t threads) : pool(threads) {}
+    ThreadPool pool;
     TimerWheel wheel;
+  };
+  std::optional<Workers> workers;
 
-    // Pops queued candidates while window slots are free. Caller holds
-    // `mutex`.
-    dispatch_locked = [&] {
-      while (tokens > 0 && !next_queue.empty()) {
-        const std::size_t i = next_queue.front();
-        next_queue.pop_front();
-        --tokens;
-        slots[i]->holds_token = true;
-        pool.submit([&attempt, i, root_ctx, root_node] {
-          obs::ContextScope trace_scope(root_ctx, root_node);
-          attempt(i);
-        });
-      }
-    };
+  // Pops queued units while window slots are free. Caller holds `mutex`.
+  dispatch_locked = [&] {
+    while (tokens > 0 && !unit_queue.empty()) {
+      const std::size_t i = unit_queue.front();
+      unit_queue.pop_front();
+      --tokens;
+      cands[i]->holds_token = true;
+      workers->pool.submit([&attempt, i, root_ctx, root_node] {
+        obs::ContextScope trace_scope(root_ctx, root_node);
+        attempt(i);
+      });
+    }
+  };
 
-    // Candidate finished (scored, served, or failed): release its window
-    // slot, let queued work in, wake the driver when everything is done.
-    complete = [&](std::size_t i) {
-      Slot& s = *slots[i];
-      std::lock_guard<std::mutex> lock(mutex);
-      --pending;
-      if (!s.deferred) --unblocked;  // deferred candidates already left
-      if (s.holds_token) {
-        s.holds_token = false;
-        ++tokens;
-      }
-      dispatch_locked();
+  // Copies the candidate's racing state into its report row. Caller holds
+  // `mutex`. Swept candidates were finalized at the sweep and are skipped.
+  finalize_locked = [&](std::size_t i) {
+    Cand& c = *cands[i];
+    if (c.swept) return;
+    CandidateResult& out = report.results[i];
+    out.claim_wait_seconds = c.claim_wait;
+    out.eval_seconds = c.compute_seconds;
+    out.pruned_at_rung = c.pruned_at;
+    if (c.failed.load(std::memory_order_acquire)) {
+      out.failed = true;
+      out.failure_message = c.failure_message;
+      obs::count_scoped("evaluator.candidate.failed");
+      return;
+    }
+    const std::size_t k = c.folds_known;
+    out.fold_scores.assign(c.fold_scores.begin(),
+                           c.fold_scores.begin() + static_cast<std::ptrdiff_t>(k));
+    std::tie(out.mean_score, out.stddev) = mean_stddev(out.fold_scores);
+    if (c.computed_any) {
+      obs::count_scoped("evaluator.candidate.local");
+      obs::observe_scoped("evaluator.candidate.seconds", out.eval_seconds);
+    } else if (coop.cooperative()) {
+      // Every rung segment arrived from peers.
+      out.from_cache = true;
+      obs::count_scoped("evaluator.candidate.cached");
+      obs::CandidateCosts::instance().record_cached(candidates[i].spec);
+    }
+    // A candidate that completed the full fold set over racing rungs
+    // republishes under its plain base key, so exhaustive peers and future
+    // runs hit the sweep instead of re-racing (the repository's store is
+    // idempotent for the bit-identical value every client assembles). A
+    // single rung already published the base key when its folds landed.
+    if (!single_rung && k == n_folds && coop.cooperative() &&
+        !candidates[i].key.empty()) {
+      coop.put(candidates[i].key,
+               CachedResult{out.mean_score, out.stddev, out.fold_scores,
+                            candidates[i].spec});
+    }
+  };
+
+  // Rank-and-prune seal (DESIGN.md §16): runs exactly once per rung, when
+  // its last unit resolves. Ranking is a pure function of fold scores,
+  // enumeration order and the seeded tournament permutation — no schedule
+  // state — so every cooperating client seals identically. Caller holds
+  // `mutex`.
+  seal_locked = [&] {
+    PROF_SCOPE("eval.search.seal");
+    obs::count_scoped("eval.search.rungs");
+    const RungSpec& rung = plan.rungs[rung_index];
+    const bool final_rung = rung_index + 1 == plan.rungs.size();
+    if (final_rung) {
+      for (const std::size_t i : entrants) finalize_locked(i);
+      all_done = true;
       done_cv.notify_all();
-    };
+      return;
+    }
+    std::vector<std::size_t> order = entrants;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const bool fa = cands[a]->failed.load(std::memory_order_acquire);
+      const bool fb = cands[b]->failed.load(std::memory_order_acquire);
+      if (fa != fb) return !fa;  // failed candidates rank strictly last
+      if (!fa) {
+        const double sa = partial_mean(a, rung.fold_end);
+        const double sb = partial_mean(b, rung.fold_end);
+        if (sa != sb) return maximize ? sa > sb : sa < sb;
+      }
+      return tie_rank[a] < tie_rank[b];
+    });
+    const std::size_t keep = plan.rungs[rung_index + 1].entrants;
+    for (std::size_t pos = keep; pos < order.size(); ++pos) {
+      const std::size_t i = order[pos];
+      Cand& c = *cands[i];
+      // Every cut entrant is pruned at this rung — including failed ones
+      // (ranked strictly last): the rung records where the race dropped
+      // them. Swept candidates keep their full-CV row untouched.
+      if (!c.swept) {
+        c.pruned_at = static_cast<int>(rung_index);
+        obs::count_scoped("eval.search.pruned");
+        obs::CandidateCosts::instance().record_pruned(
+            candidates[i].spec, static_cast<int>(rung_index));
+        ++pruned_total;
+      }
+      finalize_locked(i);
+    }
+    // Promote in rank order: the current best candidates queue first
+    // (GraphLab-style prioritized continuation).
+    order.resize(keep);
+    entrants = std::move(order);
+    ++rung_index;
+    start_rung_locked();
+  };
 
-    finalize = [&](std::size_t i) {
-      Slot& s = *slots[i];
-      CandidateResult& out = report.results[i];
-      out.claim_wait_seconds = s.claim_wait;
-      out.eval_seconds =
-          seconds_between(s.start, std::chrono::steady_clock::now()) -
-          s.claim_wait;
-      if (out.eval_seconds < 0.0) out.eval_seconds = 0.0;
-      if (s.failed.load(std::memory_order_acquire)) {
-        out.failed = true;
+  // Submits the current rung's unresolved units. Caller holds `mutex`.
+  start_rung_locked = [&] {
+    const RungSpec& rung = plan.rungs[rung_index];
+    outstanding = 0;
+    unit_queue.clear();
+    for (const std::size_t i : entrants) {
+      Cand& c = *cands[i];
+      if (c.failed.load(std::memory_order_acquire) ||
+          c.folds_known >= rung.fold_end) {
+        continue;  // already resolved (failed earlier, swept, or cached)
+      }
+      c.deferred = false;
+      c.deadline_set = false;
+      ++outstanding;
+      unit_queue.push_back(i);
+    }
+    unblocked = outstanding;
+    if (outstanding == 0) {
+      seal_locked();
+      return;
+    }
+    dispatch_locked();
+  };
+
+  // A unit resolved (computed, adopted from a peer, or failed): release
+  // its window slot, let queued units in, and seal the rung when it was
+  // the last one out.
+  unit_done = [&](std::size_t i) {
+    std::lock_guard<std::mutex> lock(mutex);
+    Cand& c = *cands[i];
+    if (!c.deferred) --unblocked;  // deferred units already left
+    c.deferred = false;
+    if (c.holds_token) {
+      c.holds_token = false;
+      ++tokens;
+    }
+    --outstanding;
+    dispatch_locked();
+    if (outstanding == 0) seal_locked();
+  };
+
+  // All of the unit's folds are in (or it failed): publish/release the
+  // unit's key, commit folds_known, resolve the unit.
+  finish_unit = [&](std::size_t i, std::size_t r) {
+    Cand& c = *cands[i];
+    const RungSpec& rung = plan.rungs[r];
+    const std::string key = unit_key(i, r);
+    const bool failed = c.failed.load(std::memory_order_acquire);
+    if (coop.cooperative() && !key.empty()) {
+      if (failed) {
+        coop.release(key);
+      } else {
+        CachedResult segment;
+        segment.fold_scores.assign(
+            c.fold_scores.begin() + static_cast<std::ptrdiff_t>(rung.fold_begin),
+            c.fold_scores.begin() + static_cast<std::ptrdiff_t>(rung.fold_end));
+        std::tie(segment.mean_score, segment.stddev) =
+            mean_stddev(segment.fold_scores);
+        segment.explanation = candidates[i].spec;
+        coop.put(key, segment);
+      }
+    }
+    if (!failed) {
+      std::lock_guard<std::mutex> lock(mutex);
+      c.folds_known = rung.fold_end;
+      c.computed_any = true;
+    }
+    unit_done(i);
+  };
+
+  run_fold = [&](std::size_t i, std::size_t fold, std::size_t r) {
+    Cand& c = *cands[i];
+    // A sibling fold already failed the candidate: skip the work, just
+    // balance the countdown.
+    if (!c.failed.load(std::memory_order_acquire)) {
+      PROF_SCOPE("eval.fold");
+      obs::ScopedSpan fold_span("evaluator.fold");
+      fold_span.tag("path", candidates[i].spec);
+      fold_span.tag("fold", std::to_string(fold));
+      fold_span.tag("rung", std::to_string(r));
+      // Ambient attribution: PrefixCache hits/misses inside score_fold
+      // are charged to this candidate's cost row.
+      obs::CandidateScope cost_scope(candidates[i].spec);
+      try {
+        Stopwatch fold_timer;
+        const double sc = candidates[i].score_fold(fold, prefixes);
+        c.fold_scores[fold] = sc;
+        const double elapsed = fold_timer.elapsed_seconds();
+        obs::observe_scoped("cv.fold.seconds", elapsed);
+        obs::CandidateCosts::instance().record_fold(candidates[i].spec,
+                                                    elapsed);
+        local_fold_evals.fetch_add(1, std::memory_order_acq_rel);
+        std::lock_guard<std::mutex> lock(mutex);
+        c.compute_seconds += elapsed;
+      } catch (const std::exception& e) {
+        bool expected = false;
+        if (c.failed.compare_exchange_strong(expected, true,
+                                             std::memory_order_acq_rel)) {
+          std::lock_guard<std::mutex> lock(mutex);
+          c.failure_message = e.what();
+        }
+      }
+    }
+    if (c.folds_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finish_unit(i, r);
+    }
+  };
+
+  attempt = [&](std::size_t i) {
+    Cand& c = *cands[i];
+    std::size_t r;
+    bool retry;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      r = rung_index;
+      retry = c.deferred;
+    }
+    const RungSpec& rung = plan.rungs[r];
+    // One span per scheduling attempt, parented under the run's root via
+    // the ContextScope the submitting task installed. Cooperative calls
+    // and fold tasks all descend from it.
+    PROF_SCOPE("eval.candidate");
+    obs::ScopedSpan attempt_span("evaluator.candidate");
+    attempt_span.tag("path", candidates[i].spec);
+    attempt_span.tag("rung", std::to_string(r));
+    if (retry) attempt_span.tag("retry", "1");
+    const std::string key = unit_key(i, r);
+    if (coop.cooperative() && !key.empty()) {
+      // Adopt a published result if one exists: on a retry it is the peer
+      // whose claim deferred us finishing; on a racing rung's first attempt
+      // it is a segment left by an earlier run — rung keys are invisible to
+      // the base-key sweep, so they must be probed here before claiming. A
+      // single rung's first attempt skips the probe: the sweep asked.
+      std::optional<CachedResult> hit;
+      if (retry || !single_rung) hit = coop.fetch(key);
+      if (hit) {
+        bool adopted = false;
+        double wait = -1.0;
         {
           std::lock_guard<std::mutex> lock(mutex);
-          out.failure_message = s.failure_message;
-        }
-        obs::count_scoped("evaluator.candidate.failed");
-        coop.release(candidates[i].key);
-      } else {
-        double sum = 0.0;
-        for (const double sc : s.fold_scores) sum += sc;
-        out.mean_score = sum / static_cast<double>(s.fold_scores.size());
-        double var = 0.0;
-        for (const double sc : s.fold_scores) {
-          const double d = sc - out.mean_score;
-          var += d * d;
-        }
-        out.stddev =
-            std::sqrt(var / static_cast<double>(s.fold_scores.size()));
-        out.fold_scores = s.fold_scores;
-        obs::count_scoped("evaluator.candidate.local");
-        obs::observe_scoped("evaluator.candidate.seconds", out.eval_seconds);
-        if (coop.cooperative()) {
-          coop.put(candidates[i].key,
-                       CachedResult{out.mean_score, out.stddev,
-                                    out.fold_scores, candidates[i].spec});
-        }
-      }
-      complete(i);
-    };
-
-    run_fold = [&](std::size_t i, std::size_t fold) {
-      Slot& s = *slots[i];
-      // A sibling fold already failed the candidate: skip the work, just
-      // balance the countdown.
-      if (!s.failed.load(std::memory_order_acquire)) {
-        PROF_SCOPE("eval.fold");
-        obs::ScopedSpan fold_span("evaluator.fold");
-        fold_span.tag("path", candidates[i].spec);
-        fold_span.tag("fold", std::to_string(fold));
-        // Ambient attribution: PrefixCache hits/misses inside score_fold
-        // are charged to this candidate's cost row.
-        obs::CandidateScope cost_scope(candidates[i].spec);
-        try {
-          Stopwatch fold_timer;
-          const double sc = candidates[i].score_fold(fold, prefixes);
-          s.fold_scores[fold] = sc;
-          const double elapsed = fold_timer.elapsed_seconds();
-          obs::observe_scoped("cv.fold.seconds", elapsed);
-          obs::CandidateCosts::instance().record_fold(candidates[i].spec,
-                                                      elapsed);
-          local_fold_evals.fetch_add(1, std::memory_order_acq_rel);
-        } catch (const std::exception& e) {
-          bool expected = false;
-          if (s.failed.compare_exchange_strong(expected, true,
-                                               std::memory_order_acq_rel)) {
-            std::lock_guard<std::mutex> lock(mutex);
-            s.failure_message = e.what();
+          const std::size_t want = rung.folds();
+          // A malformed result (foreign publisher) is ignored — the claim
+          // cycle below falls through to local compute.
+          if (hit->fold_scores.size() == want) {
+            for (std::size_t f = 0; f < want; ++f) {
+              c.fold_scores[rung.fold_begin + f] = hit->fold_scores[f];
+            }
+            c.folds_known = rung.fold_end;
+            adopted = true;
+            if (retry) {
+              wait = seconds_between(c.block_start,
+                                     std::chrono::steady_clock::now());
+              c.claim_wait += wait;
+            }
           }
         }
-      }
-      if (s.folds_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        finalize(i);
-      }
-    };
-
-    attempt = [&](std::size_t i) {
-      Slot& s = *slots[i];
-      const auto now = std::chrono::steady_clock::now();
-      bool retry;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!s.started) {
-          s.started = true;
-          s.start = now;
-        }
-        retry = s.deferred;
-      }
-      // One span per scheduling attempt, parented under the run's root via
-      // the ContextScope the submitting task installed. Cooperative calls
-      // and fold tasks all descend from it.
-      PROF_SCOPE("eval.candidate");
-      obs::ScopedSpan attempt_span("evaluator.candidate");
-      attempt_span.tag("path", candidates[i].spec);
-      if (retry) attempt_span.tag("retry", "1");
-      const std::string& key = candidates[i].key;
-      if (coop.cooperative()) {
-        if (retry) {
-          // A peer held the claim when we last looked; its result may have
-          // landed since.
-          if (auto hit = coop.fetch(key)) {
-            const double wait = seconds_between(
-                s.block_start, std::chrono::steady_clock::now());
-            {
-              std::lock_guard<std::mutex> lock(mutex);
-              s.claim_wait = wait;
-            }
+        if (adopted) {
+          if (wait >= 0.0) {
             obs::observe_scoped("evaluator.claim.wait_seconds", wait);
             obs::CandidateCosts::instance().record_claim_wait(
                 candidates[i].spec, wait);
-            report.results[i].claim_wait_seconds = wait;
-            serve(i, *hit, /*eval_seconds=*/0.0);
-            complete(i);
-            return;
+          }
+          unit_done(i);
+          return;
+        }
+      }
+      if (!coop.claim(key)) {
+        // Claim-blocked: park the unit on the timer wheel and let the
+        // workers keep scoring other units. No thread sleeps here.
+        std::lock_guard<std::mutex> lock(mutex);
+        const auto block_now = std::chrono::steady_clock::now();
+        if (!c.deferred) {
+          c.deferred = true;
+          c.block_start = block_now;
+          --unblocked;
+          if (c.holds_token) {
+            c.holds_token = false;
+            ++tokens;
+            dispatch_locked();
+          }
+          if (!c.was_deferred) {
+            c.was_deferred = true;
+            obs::count_scoped("evaluator.candidate.deferred");
           }
         }
-        if (!coop.claim(key)) {
-          // Claim-blocked: park the candidate on the timer wheel and let the
-          // workers keep scoring other candidates. No thread sleeps here.
-          std::lock_guard<std::mutex> lock(mutex);
-          const auto block_now = std::chrono::steady_clock::now();
-          if (!s.deferred) {
-            s.deferred = true;
-            s.block_start = block_now;
-            --unblocked;
-            if (s.holds_token) {
-              s.holds_token = false;
-              ++tokens;
-              dispatch_locked();
-            }
-            if (!s.was_deferred) {
-              s.was_deferred = true;
-              obs::count_scoped("evaluator.candidate.deferred");
-            }
+        const bool expired = c.deadline_set && block_now >= c.deadline;
+        if (!expired) {
+          if (!c.deadline_set && unblocked == 0) {
+            // No local work left to hide the wait behind — start the
+            // local-compute deadline (peer-failure safety net). With every
+            // unit of the rung blocked, the seal cannot happen until
+            // somebody's result lands or this deadline fires.
+            c.deadline_set = true;
+            c.deadline = block_now + std::chrono::milliseconds(
+                                         options_.claim_wait_ms);
           }
-          const bool expired = s.deadline_set && block_now >= s.deadline;
-          if (!expired) {
-            if (!s.deadline_set && unblocked == 0) {
-              // No local work left to hide the wait behind — start the
-              // local-compute deadline (peer-failure safety net).
-              s.deadline_set = true;
-              s.deadline = block_now + std::chrono::milliseconds(
-                                           options_.claim_wait_ms);
-            }
-            obs::count_scoped("eval.claim.requeued");
-            wheel.schedule(
-                std::chrono::milliseconds(options_.claim_poll_ms),
-                [&pool, &attempt, i, root_ctx, root_node] {
-                  pool.submit([&attempt, i, root_ctx, root_node] {
-                    obs::ContextScope trace_scope(root_ctx, root_node);
-                    attempt(i);
-                  });
+          obs::count_scoped("eval.claim.requeued");
+          workers->wheel.schedule(
+              std::chrono::milliseconds(options_.claim_poll_ms),
+              [&workers, &attempt, i, root_ctx, root_node] {
+                workers->pool.submit([&attempt, i, root_ctx, root_node] {
+                  obs::ContextScope trace_scope(root_ctx, root_node);
+                  attempt(i);
                 });
-            return;
-          }
-          // Deadline expired without a stored result or a winnable claim:
-          // the peer presumably died. Compute locally without the claim so
-          // the search always completes.
+              });
+          return;
         }
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (s.deferred) {
-            s.deferred = false;
-            ++unblocked;
-            s.claim_wait = seconds_between(s.block_start,
-                                           std::chrono::steady_clock::now());
-          }
-        }
-        if (s.claim_wait > 0.0) {
-          obs::observe_scoped("evaluator.claim.wait_seconds", s.claim_wait);
+        // Deadline expired without a stored result or a winnable claim:
+        // the peer presumably died. Compute locally without the claim so
+        // the rung always seals.
+      }
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (c.deferred) {
+          c.deferred = false;
+          ++unblocked;
+          const double wait = seconds_between(
+              c.block_start, std::chrono::steady_clock::now());
+          c.claim_wait += wait;
+          obs::observe_scoped("evaluator.claim.wait_seconds", wait);
           obs::CandidateCosts::instance().record_claim_wait(
-              candidates[i].spec, s.claim_wait);
+              candidates[i].spec, wait);
         }
       }
-      // Fan out: one task per fold, so a slow candidate's folds spread over
-      // the workers instead of serializing at the tail of the run. Fold
-      // tasks parent under this attempt's span (which may close first —
-      // parent links are ids, not lifetimes).
-      const obs::TraceContext fold_ctx = attempt_span.context();
-      s.fold_scores.assign(n_folds, 0.0);
-      s.folds_left.store(n_folds, std::memory_order_release);
-      for (std::size_t fold = 0; fold < n_folds; ++fold) {
-        pool.submit([&run_fold, i, fold, fold_ctx, root_node] {
-          obs::ContextScope trace_scope(fold_ctx, root_node);
-          run_fold(i, fold);
-        });
-      }
-    };
+    }
+    // Fan out one task per fold of the unit (a single fold on racing rungs,
+    // every remaining fold on the final rung), so a slow candidate's folds
+    // spread over the workers instead of serializing at the tail of the
+    // run. Fold tasks parent under this attempt's span (which may close
+    // first — parent links are ids, not lifetimes).
+    const obs::TraceContext fold_ctx = attempt_span.context();
+    c.folds_left.store(rung.folds(), std::memory_order_release);
+    for (std::size_t fold = rung.fold_begin; fold < rung.fold_end; ++fold) {
+      workers->pool.submit([&run_fold, i, fold, r, fold_ctx, root_node] {
+        obs::ContextScope trace_scope(fold_ctx, root_node);
+        run_fold(i, fold, r);
+      });
+    }
+  };
 
+  // A run the sweep answered whole has nothing to race: it spins up no
+  // workers and seals no rung, so a fleet of peers served from the DARR
+  // pays for one fetch_many each and nothing more.
+  if (remaining > 0) {
+    workers.emplace(options_.threads);
+    tokens = workers->pool.size();
     {
       std::lock_guard<std::mutex> lock(mutex);
-      dispatch_locked();
+      start_rung_locked();
     }
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      done_cv.wait(lock, [&] { return pending == 0; });
-    }
-    // `wheel` (destroyed first) can no longer re-submit into `pool`; with
-    // pending == 0 neither holds engine work.
+    std::unique_lock<std::mutex> lock(mutex);
+    done_cv.wait(lock, [&] { return all_done; });
   }
+  // With the final rung sealed neither `pool` nor `wheel` holds engine
+  // work.
 
-  // Pick the best non-failed candidate (order-stable: earlier candidate
-  // wins ties, exactly like the pre-engine evaluators).
-  const bool maximize = higher_is_better(options_.metric);
+  report.fold_evaluations = local_fold_evals.load(std::memory_order_acquire);
+  report.pruned_candidates = pruned_total;
+
+  // Best = best full-CV, non-failed candidate (survivors of the final
+  // rung plus anything served whole from the cooperative cache). Pruned
+  // candidates carry partial scores and are not eligible. Order-stable:
+  // the earlier candidate wins ties.
   bool found = false;
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    const auto& r = report.results[i];
-    report.total_claim_wait_seconds += r.claim_wait_seconds;
-    if (r.failed) continue;
-    if (r.from_cache) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const CandidateResult& res = report.results[i];
+    report.total_claim_wait_seconds += res.claim_wait_seconds;
+    if (res.failed) continue;
+    if (res.from_cache) {
       ++report.served_from_cache;
     } else {
       ++report.evaluated_locally;
     }
+    if (res.fold_scores.size() != n_folds) continue;  // pruned: partial CV
     if (!found) {
       report.best_index = i;
       found = true;
       continue;
     }
-    const auto& best = report.results[report.best_index];
-    const bool better = maximize ? r.mean_score > best.mean_score
-                                 : r.mean_score < best.mean_score;
+    const CandidateResult& best = report.results[report.best_index];
+    const bool better = maximize ? res.mean_score > best.mean_score
+                                 : res.mean_score < best.mean_score;
     if (better) report.best_index = i;
   }
   require_state(found, "EvalEngine: every candidate failed");
-  report.fold_evaluations = local_fold_evals.load(std::memory_order_acquire);
   report.total_seconds = total_timer.elapsed_seconds();
   return report;
 }

@@ -3,10 +3,11 @@
 //
 // Three jobs, shared by every graph family:
 //
-//  1. Scheduling — each candidate x fold becomes one task on the shared
-//     ThreadPool, so a slow candidate's folds spread across workers instead
-//     of serializing at the tail of the run (Section III: "different
-//     predictive models can be run in parallel").
+//  1. Scheduling — one racing loop runs every search plan: each candidate
+//     x fold of a rung becomes one task on the shared ThreadPool, so a slow
+//     candidate's folds spread across workers instead of serializing at
+//     the tail of the run (Section III: "different predictive models can
+//     be run in parallel"). Exhaustive search is the one-rung plan.
 //  2. Shared-prefix memoization — candidates that share a fitted
 //     transformer prefix (same scaler/selector chain, or the same
 //     scaler+windower pair for forecast paths) fit it once per fold; the
@@ -163,8 +164,11 @@ class EvalEngine {
     std::function<double(std::size_t fold, PrefixCache& prefixes)> score_fold;
   };
 
-  /// Evaluates every candidate over `n_folds` folds and selects the best
-  /// non-failed one. Throws StateError when every candidate failed.
+  /// Runs the search plan `options().search` selects over `n_folds` folds
+  /// — exhaustive search is one rung in which every candidate scores every
+  /// fold, halving races rungs (src/core/search_scheduler.h) — and selects
+  /// the best non-failed full-CV candidate. Throws StateError when every
+  /// candidate failed.
   EvaluationReport run(std::vector<Candidate> candidates,
                        std::size_t n_folds) const;
 

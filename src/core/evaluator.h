@@ -109,8 +109,9 @@ struct CandidateResult {
   double mean_score = 0.0;
   double stddev = 0.0;
   std::vector<double> fold_scores;
-  /// Time spent obtaining this result (cross-validation for local
-  /// evaluations, cache lookup/serve for cached ones) — claim waiting is
+  /// Time spent obtaining this result: the sum of the candidate's locally
+  /// scored fold seconds (under every search strategy), or its share of
+  /// the initial sweep when that served it whole. Claim waiting is
   /// accounted separately in claim_wait_seconds, never here.
   double eval_seconds = 0.0;
   /// Time a peer's claim deferred this candidate before its result arrived
@@ -146,8 +147,11 @@ struct EvaluationReport {
   /// for exhaustive search, the rung schedule's total for halving. The gap
   /// to candidates × folds is the halving saving.
   std::size_t fold_evaluations_planned = 0;
-  std::size_t pruned_candidates = 0;  ///< halving only
-  std::size_t rungs = 0;              ///< halving only (0 = exhaustive)
+  /// Candidates cut before full CV (always 0 for exhaustive search).
+  std::size_t pruned_candidates = 0;
+  /// Rungs in the search plan: 1 for exhaustive search, the halving
+  /// schedule's rung count otherwise.
+  std::size_t rungs = 0;
 
   const CandidateResult& best() const;
 };
@@ -164,7 +168,7 @@ enum class SearchStrategy {
   kHalving,
 };
 
-/// Knobs for the successive-halving scheduler (ignored under kExhaustive).
+/// Search-plan knobs (eta and seed are ignored under kExhaustive).
 struct SearchOptions {
   SearchStrategy strategy = SearchStrategy::kExhaustive;
   /// Pruning fraction: each rung keeps ceil(entrants / eta). Must be >= 2.
@@ -196,7 +200,8 @@ struct EvalOptions {
   bool compile_plans = true;
   /// Candidate-racing strategy. Exhaustive remains the default and the
   /// bit-deterministic reference; kHalving prunes provably-losing
-  /// candidates after partial CV (src/core/search_scheduler.h).
+  /// candidates after partial CV. Both are rung plans run by the one
+  /// engine loop (src/core/search_scheduler.h).
   SearchOptions search;
 };
 

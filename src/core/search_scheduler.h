@@ -1,15 +1,12 @@
-// Anytime successive-halving search scheduler (DESIGN.md §16): the
-// candidate-racing layer between TE-Graph path enumeration and the eval
-// engine. Instead of scoring every candidate on every CV fold (the
-// exhaustive sweep), candidates race rung by rung: rung 0 scores all of
-// them on fold 0, ranks them by partial CV score, prunes the losing
-// fraction (1 - 1/eta), and promotes the survivors to the next fold; the
-// final rung runs every remaining fold so survivors finish with full-CV
-// scores. SystemDS (PAPERS.md) motivates exactly this resource-aware
-// pruning over brute enumeration; the GraphLab-style twist here is that
-// rungs are not bulk-synchronous barriers — a survivor's next-rung folds
-// are submitted the moment its rung's prune decision seals, as
-// asynchronous continuations on the engine's ThreadPool + TimerWheel.
+// Search-plan arithmetic (DESIGN.md §16): the rung schedule the eval
+// engine's one racing loop runs. Exhaustive search is the one-rung plan
+// (every candidate scores every fold, nothing is pruned); successive halving
+// races all candidates on fold 0, ranks them by partial CV score, prunes the
+// losing fraction (1 - 1/eta), and promotes the survivors to the next fold,
+// with a final rung that runs every remaining fold so survivors finish with
+// full-CV scores. SystemDS (PAPERS.md) motivates exactly this
+// resource-aware pruning over brute enumeration — as a policy on one
+// executor, not a second executor.
 //
 // Determinism (the prune-seal rule): a rung's ranking is a pure function
 // of the candidates' fold scores, their stable enumeration order, and the
@@ -17,22 +14,24 @@
 // bit-deterministic, so every cooperating client computes the *same*
 // prune decisions regardless of thread interleaving, chaos schedule, or
 // which peer served which rung segment — which is what lets a fleet split
-// one halving search candidate-by-candidate and rung-by-rung with zero
-// redundant fold evaluations.
+// one search candidate-by-candidate and rung-by-rung with zero redundant
+// fold evaluations.
 //
-// Cooperation: each (candidate, rung) unit claims a rung-qualified DARR
-// key ("<base>|shr|e<eta>|s<seed>|r<rung>") and publishes its segment's
-// fold scores, so a pruned candidate's partial results still reach the
-// fleet; a candidate surviving the final rung additionally publishes the
-// assembled full-CV result under its plain base key, interoperating with
-// exhaustive peers and future runs.
+// Cooperation: a rung spanning every fold (the one-rung plan, or a halving
+// plan that degenerates to one rung) claims and publishes each candidate
+// under its plain base key. A racing rung's unit claims a rung-qualified
+// DARR key ("<base>|shr|e<eta>|s<seed>|r<rung>") and publishes its
+// segment's fold scores, so a pruned candidate's partial results still
+// reach the fleet; a candidate surviving the final rung additionally
+// publishes the assembled full-CV result under its plain base key.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "src/core/eval_engine.h"
+#include "src/core/evaluator.h"
 
 namespace coda {
 
@@ -73,6 +72,10 @@ struct HalvingPlan {
   static HalvingPlan build(std::size_t n_candidates, std::size_t n_folds,
                            std::size_t eta);
 
+  /// Exhaustive search: one rung in which every candidate scores every
+  /// fold and nothing is pruned.
+  static HalvingPlan exhaustive(std::size_t n_candidates, std::size_t n_folds);
+
   /// Fold evaluations the schedule admits: sum of entrants × folds over
   /// the rungs. The fleet-wide computed total equals this exactly when
   /// cooperation splits the units without redundancy.
@@ -86,16 +89,5 @@ struct HalvingPlan {
 /// when `base_key` is empty (non-cooperative candidate).
 std::string rung_key(const std::string& base_key, const SearchOptions& search,
                      std::size_t rung);
-
-namespace detail {
-
-/// The halving executor, dispatched from EvalEngine::run when
-/// options.search.strategy == SearchStrategy::kHalving. Same report
-/// contract as the exhaustive path, plus pruned_at_rung / rung accounting.
-EvaluationReport run_halving_search(
-    const EvalOptions& options,
-    const std::vector<EvalEngine::Candidate>& candidates, std::size_t n_folds);
-
-}  // namespace detail
 
 }  // namespace coda

@@ -50,8 +50,6 @@ class DarrClient final : public ResultCache {
              dist::NodeId self, dist::NodeId repo_node,
              std::string client_name, RetryPolicy retry = {});
 
-  // ResultCache canonical surface (the deprecated lookup/try_claim/store/
-  // abandon spellings delegate here via the base class).
   std::optional<CachedResult> fetch(const std::string& key) override;
   std::vector<std::optional<CachedResult>> fetch_many(
       const std::vector<std::string>& keys) override;

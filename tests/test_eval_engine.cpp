@@ -1,16 +1,21 @@
 // Tests for the unified evaluation engine: prefix-cache LRU/byte-budget
 // semantics, memoization transparency (identical scores with the cache on
 // or off), non-blocking claim continuations on the timer wheel, batched
-// cache sweeps, and the TimerWheel itself.
+// cache sweeps, the ResultCache calls a search issues, and the TimerWheel
+// itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/eval_engine.h"
 #include "src/core/evaluator.h"
 #include "src/core/plan_compiler.h"
+#include "src/core/search_scheduler.h"
 #include "src/darr/client.h"
 #include "src/darr/repository.h"
 #include "src/data/synthetic.h"
@@ -246,6 +251,141 @@ TEST(EvalEngine, ExpiredClaimDeadlineFallsBackToLocalCompute) {
   EXPECT_FALSE(report.results[0].failed);
   EXPECT_DOUBLE_EQ(report.results[0].mean_score, 1.5);
   EXPECT_GE(report.results[0].claim_wait_seconds, 0.045);
+}
+
+TEST(EvalEngine, SweepIgnoresAHitWithTheWrongFoldCount) {
+  // A 2-fold result under the candidate's key cannot answer a 3-fold
+  // search: the sweep skips it and the engine scores all three folds.
+  LocalResultCache cache;
+  CachedResult stale;
+  stale.mean_score = 99.0;
+  stale.fold_scores = {99.0, 99.0};
+  cache.put("K", stale);
+  EvalOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  EvalEngine engine(options);
+  std::vector<EvalEngine::Candidate> candidates;
+  candidates.push_back(keyed_candidate("only", "K"));
+  const auto report = engine.run(std::move(candidates), 3);
+  const auto& r = report.results[0];
+  EXPECT_FALSE(r.from_cache);
+  EXPECT_EQ(r.fold_scores, (std::vector<double>{plain_score(0), plain_score(1),
+                                                plain_score(2)}));
+  EXPECT_EQ(report.fold_evaluations, 3u);
+  EXPECT_EQ(report.evaluated_locally, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire rule: which ResultCache calls a search issues
+
+// Forwards to a LocalResultCache, counting every call and recording the
+// keys it publishes.
+class CountingCache final : public ResultCache {
+ public:
+  std::optional<CachedResult> fetch(const std::string& key) override {
+    ++fetches;
+    return inner.fetch(key);
+  }
+  std::vector<std::optional<CachedResult>> fetch_many(
+      const std::vector<std::string>& keys) override {
+    ++fetch_manys;
+    return inner.fetch_many(keys);
+  }
+  bool claim(const std::string& key) override {
+    ++claims;
+    return inner.claim(key);
+  }
+  void put(const std::string& key, const CachedResult& result) override {
+    ++puts;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      put_keys_.push_back(key);
+    }
+    inner.put(key, result);
+  }
+  void release(const std::string& key) override {
+    ++releases;
+    inner.release(key);
+  }
+
+  std::vector<std::string> put_keys() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return put_keys_;
+  }
+  void reset_counts() {
+    fetch_manys = fetches = claims = puts = releases = 0;
+  }
+
+  LocalResultCache inner;
+  std::atomic<int> fetch_manys{0};
+  std::atomic<int> fetches{0};
+  std::atomic<int> claims{0};
+  std::atomic<int> puts{0};
+  std::atomic<int> releases{0};
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::string> put_keys_;
+};
+
+std::vector<EvalEngine::Candidate> keyed_field(std::size_t n) {
+  std::vector<EvalEngine::Candidate> candidates;
+  for (std::size_t i = 0; i < n; ++i) {
+    candidates.push_back(keyed_candidate("c" + std::to_string(i),
+                                         "K" + std::to_string(i)));
+  }
+  return candidates;
+}
+
+TEST(EvalEngine, ExhaustiveSearchSweepsOnceThenClaimsAndPutsEachCandidate) {
+  const std::size_t n = 5;
+  CountingCache cache;
+  EvalOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  EvalEngine engine(options);
+
+  // Empty cache: one batched sweep, then one claim and one put per
+  // candidate — no single-key fetch, no release.
+  const auto first = engine.run(keyed_field(n), 3);
+  EXPECT_EQ(first.evaluated_locally, n);
+  EXPECT_EQ(cache.fetch_manys.load(), 1);
+  EXPECT_EQ(cache.fetches.load(), 0);
+  EXPECT_EQ(cache.claims.load(), static_cast<int>(n));
+  EXPECT_EQ(cache.puts.load(), static_cast<int>(n));
+  EXPECT_EQ(cache.releases.load(), 0);
+
+  // Everything published: the sweep answers the whole search.
+  cache.reset_counts();
+  const auto second = engine.run(keyed_field(n), 3);
+  EXPECT_EQ(second.served_from_cache, n);
+  EXPECT_EQ(cache.fetch_manys.load(), 1);
+  EXPECT_EQ(cache.fetches.load(), 0);
+  EXPECT_EQ(cache.claims.load(), 0);
+  EXPECT_EQ(cache.puts.load(), 0);
+  EXPECT_EQ(cache.releases.load(), 0);
+}
+
+TEST(EvalEngine, SingleRungHalvingPublishesOnlyTheBaseKey) {
+  // One candidate degenerates the halving plan to a single rung over every
+  // fold, which claims and publishes the plain base key — no rung key.
+  CountingCache cache;
+  EvalOptions options;
+  options.threads = 2;
+  options.cache = &cache;
+  options.search.strategy = SearchStrategy::kHalving;
+  EvalEngine engine(options);
+  const auto report = engine.run(keyed_field(1), 3);
+  EXPECT_EQ(report.rungs, 1u);
+  EXPECT_EQ(report.best().fold_scores.size(), 3u);
+  EXPECT_TRUE(cache.inner.fetch("K0").has_value());
+  EXPECT_FALSE(cache.inner.fetch(rung_key("K0", options.search, 0)).has_value());
+  EXPECT_EQ(cache.put_keys(), (std::vector<std::string>{"K0"}));
+  EXPECT_EQ(cache.fetch_manys.load(), 1);
+  EXPECT_EQ(cache.fetches.load(), 0);
+  EXPECT_EQ(cache.claims.load(), 1);
+  EXPECT_EQ(cache.releases.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ TEST(SearchScheduler, HalvingMatchesExhaustiveOnOrderedField) {
   EXPECT_LT(report.fold_evaluations, ref.fold_evaluations);
   EXPECT_EQ(ref.fold_evaluations, n * folds);
   EXPECT_EQ(ref.fold_evaluations_planned, n * folds);
-  EXPECT_EQ(ref.rungs, 0u);  // exhaustive reports no rungs
+  EXPECT_EQ(ref.rungs, 1u);  // exhaustive is the one-rung plan
 
   // Pruned rows: count matches the plan's cuts, survivors are unpruned.
   std::size_t pruned = 0;
