@@ -52,7 +52,7 @@ int main() {
   std::printf("running a 4-client cooperative search to collect fleet "
               "telemetry...\n\n");
   const auto report = darr::run_cooperative_search(
-      search_graph(), data, KFold(4), Metric::kRmse, /*n_clients=*/4);
+      search_graph(), data, KFold(4), Metric::kRmse, {.n_clients = 4});
 
   // Declarative SLOs, checked against the *collected* telemetry (which
   // rode the simulated network), not the process-wide registry. The

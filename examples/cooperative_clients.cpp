@@ -108,7 +108,7 @@ void cooperative_search_demo() {
   }
 
   const auto report = darr::run_cooperative_search(
-      graph, data, KFold(5), Metric::kRmse, /*n_clients=*/4);
+      graph, data, KFold(5), Metric::kRmse, {.n_clients = 4});
 
   std::printf("  candidates: %zu, clients: %zu\n", report.total_candidates,
               report.clients.size());

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate (ROADMAP.md): plain build + full test suite, every
+# Tier-1 gate (ROADMAP.md): plain build + full test suite, the full suite
+# again under AddressSanitizer + UBSan (halting on the first report), every
 # tsan-labelled suite again under thread sanitizer, and the bench
 # regression gate. A chaos failure prints the fault schedule (seed, drop
 # rate, partition/crash windows) to replay.
@@ -34,6 +35,14 @@ scripts/trace_check.sh build
 
 echo "== tier 1: folded-profile export + reset contract =="
 scripts/profile_check.sh build
+
+echo "== tier 1: full suite under AddressSanitizer + UBSan =="
+cmake -B build-asan -S . -DCODA_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan -j"$(nproc)"
+# UBSan only reports by default; halt_on_error turns a report into a
+# failing test.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
 echo "== tier 1: every tsan-labelled suite under ThreadSanitizer =="
 cmake -B build-tsan -S . -DCODA_SANITIZE=thread >/dev/null

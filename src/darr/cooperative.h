@@ -1,8 +1,8 @@
 // Cooperative graph search (Fig 2), from a handful of clients up to
 // thousand-client fleets: N clients, each with its own DarrClient bound to
-// the shared repository tier — one DarrRepository node, or a sharded,
-// replicated DarrCluster (DESIGN.md §13) — concurrently evaluate the same
-// graph on the same data set. Claims partition the candidate space; every
+// the shared repository tier — a DarrCluster of one or more shards
+// (DESIGN.md §13) — concurrently evaluate the same graph on the same data
+// set. Claims partition the candidate space; every
 // client ends the run with the complete result set (its own computations
 // plus everyone else's, read from the DARR).
 #pragma once
@@ -46,8 +46,8 @@ struct CooperativeReport {
   /// recomputed — the paper's headline quantity, summed over clients.
   std::size_t redundancy_avoided = 0;
   double wall_seconds = 0.0;
-  /// Repository tier shape: 0 shards = the single "darr" node topology.
-  std::size_t n_shards = 0;
+  /// Repository tier shape (replication as clamped to the shard count).
+  std::size_t n_shards = 1;
   std::size_t replication = 1;
   /// Every byte the fabric carried (client ops + replica syncs +
   /// telemetry), from SimNet's deterministic accounting.
@@ -56,7 +56,7 @@ struct CooperativeReport {
   /// contention price of waiting on a peer's in-flight computation.
   double claim_wait_p99_seconds = 0.0;
   DarrRepository::Counters repository_counters;  ///< summed over shards
-  DarrCluster::SyncStats sync_stats;  ///< zeros in single-repository mode
+  DarrCluster::SyncStats sync_stats;  ///< zeros when replication == 1
   /// Fleet telemetry collected during the run: every client (and the
   /// repository tier) shipped its MetricScope shard to a dedicated
   /// "telemetry" SimNet node as snapshot deltas; per-node aggregates and
@@ -72,13 +72,11 @@ struct CooperativeReport {
 struct FleetOptions {
   std::size_t n_clients = 1;
   std::size_t evaluator_threads = 1;
-  /// 0 = the original single-repository topology (one "darr" node);
-  /// >= 1 shards the repository across that many nodes by consistent
-  /// hashing with `replication` copies per record.
-  std::size_t n_shards = 0;
+  /// Shards the repository across this many nodes by consistent hashing
+  /// with `replication` copies per record (clamped to n_shards). The
+  /// default, one shard, is the paper's single shared repository.
+  std::size_t n_shards = 1;
   std::size_t replication = 2;
-  std::size_t ring_points = 32;
-  int claim_ttl_ms = 2000;
   /// Client sessions running concurrently; 0 = one thread per client
   /// (small fleets). Thousand-client fleets set a bounded worker pool; 1
   /// runs the sessions serially in client order, which makes the whole
@@ -88,7 +86,7 @@ struct FleetOptions {
   /// traffic too: switch it off when asserting exact bytes-on-wire.
   bool telemetry = true;
   /// Optional seeded fault model applied to the fabric (chaos runs).
-  std::optional<dist::SimNet::FaultConfig> faults;
+  std::optional<dist::SimNet::FaultConfig> faults = std::nullopt;
   /// Transfer budget for client ops and replica syncs.
   RetryPolicy retry = {};
 };
@@ -104,18 +102,9 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
                                         const FleetOptions& options,
                                         const ClientSession& session);
 
-/// Runs `n_clients` cooperative searches of `graph` over `data`
-/// concurrently (one thread per client, each client evaluating serially so
-/// the division of labour is attributable). `evaluator_threads` sets each
-/// client's internal parallelism.
-CooperativeReport run_cooperative_search(const TEGraph& graph,
-                                         const Dataset& data,
-                                         const CrossValidator& cv,
-                                         Metric metric, std::size_t n_clients,
-                                         std::size_t evaluator_threads = 1);
-
-/// Fleet-shaped variant of the tabular search (sharding, bounded client
-/// parallelism, faults — everything FleetOptions can express).
+/// Runs `options.n_clients` cooperative searches of the tabular `graph`
+/// over `data` (by default one thread per client, each evaluating with
+/// `options.evaluator_threads`), e.g. `{.n_clients = 4}`.
 CooperativeReport run_cooperative_search(const TEGraph& graph,
                                          const Dataset& data,
                                          const CrossValidator& cv,

@@ -1,75 +1,35 @@
 #include "src/darr/repository.h"
 
-#include <atomic>
-
 #include "src/obs/event_log.h"
 #include "src/util/error.h"
 
 namespace coda::darr {
 
-namespace {
-
-// Aggregate repository families (all instances in the process).
-struct GlobalCounters {
-  obs::Counter& lookup_hit = obs::counter("darr.repo.lookup.hit");
-  obs::Counter& lookup_miss = obs::counter("darr.repo.lookup.miss");
-  obs::Counter& store = obs::counter("darr.repo.store");
-  obs::Counter& claims_granted = obs::counter("darr.claim.granted");
-  obs::Counter& claims_denied = obs::counter("darr.claim.denied");
-  obs::Counter& claims_expired = obs::counter("darr.claim.expired");
-};
-
-GlobalCounters& global_counters() {
-  static GlobalCounters counters;
-  return counters;
-}
-
-std::string next_instance_prefix() {
-  // Central id source: obs::reset_all() rewinds it so back-to-back runs
-  // in one process mint identical instance names.
-  return "darr.repo#" + std::to_string(obs::next_instance_id("darr.repo")) +
-         ".";
-}
-
-}  // namespace
+DarrRepository::Tallies::Tallies(obs::MetricScope& node)
+    : lookup_hit("darr.repo.lookup.hit", node),
+      lookup_miss("darr.repo.lookup.miss", node),
+      store("darr.repo.store", node),
+      claims_granted("darr.claim.granted", node),
+      claims_denied("darr.claim.denied", node),
+      claims_expired("darr.claim.expired", node) {}
 
 DarrRepository::DarrRepository() : DarrRepository(Config()) {}
 
-DarrRepository::DarrRepository(Config config) : config_(std::move(config)) {
+DarrRepository::DarrRepository(Config config)
+    : config_(std::move(config)),
+      tallies_(obs::MetricScope::for_node(config_.node_name)) {
+  // An empty node_name is already rejected by MetricScope::for_node.
   require(config_.claim_ttl_ms > 0, "DarrRepository: TTL must be positive");
-  require(!config_.node_name.empty(),
-          "DarrRepository: node_name must be non-empty");
-  const std::string prefix = next_instance_prefix();
-  counters_.lookups = &obs::counter(prefix + "lookups");
-  counters_.hits = &obs::counter(prefix + "hits");
-  counters_.stores = &obs::counter(prefix + "stores");
-  counters_.claims_granted = &obs::counter(prefix + "claims_granted");
-  counters_.claims_denied = &obs::counter(prefix + "claims_denied");
-  counters_.claims_expired = &obs::counter(prefix + "claims_expired");
-  auto& g = global_counters();
-  auto& scope = obs::MetricScope::for_node(config_.node_name);
-  family_.lookup_hit = {&g.lookup_hit, &scope.counter("darr.repo.lookup.hit")};
-  family_.lookup_miss = {&g.lookup_miss,
-                         &scope.counter("darr.repo.lookup.miss")};
-  family_.store = {&g.store, &scope.counter("darr.repo.store")};
-  family_.claims_granted = {&g.claims_granted,
-                            &scope.counter("darr.claim.granted")};
-  family_.claims_denied = {&g.claims_denied,
-                           &scope.counter("darr.claim.denied")};
-  family_.claims_expired = {&g.claims_expired,
-                            &scope.counter("darr.claim.expired")};
 }
 
 std::optional<DarrRecord> DarrRepository::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  counters_.lookups->inc();
   auto it = records_.find(key);
   if (it == records_.end()) {
-    family_.lookup_miss.inc();
+    tallies_.lookup_miss.inc();
     return std::nullopt;
   }
-  counters_.hits->inc();
-  family_.lookup_hit.inc();
+  tallies_.lookup_hit.inc();
   return it->second;
 }
 
@@ -79,8 +39,7 @@ bool DarrRepository::try_claim(const std::string& key,
   if (records_.count(key) != 0) {
     // Result already exists; claiming is pointless — deny so the caller
     // looks it up instead.
-    counters_.claims_denied->inc();
-    family_.claims_denied.inc();
+    tallies_.claims_denied.inc();
     return false;
   }
   const auto now = std::chrono::steady_clock::now();
@@ -92,13 +51,11 @@ bool DarrRepository::try_claim(const std::string& key,
       return true;  // idempotent re-claim
     }
     if (it->second.expires_at > now) {
-      counters_.claims_denied->inc();
-      family_.claims_denied.inc();
+      tallies_.claims_denied.inc();
       return false;  // live foreign claim
     }
     // Owner presumed dead: steal the claim.
-    counters_.claims_expired->inc();
-    family_.claims_expired.inc();
+    tallies_.claims_expired.inc();
     obs::event(obs::Severity::kWarn, "darr.claim.expired",
                {{"key", key},
                 {"stale_owner", it->second.client},
@@ -106,8 +63,7 @@ bool DarrRepository::try_claim(const std::string& key,
   }
   claims_[key] = Claim{
       client, now + std::chrono::milliseconds(config_.claim_ttl_ms)};
-  counters_.claims_granted->inc();
-  family_.claims_granted.inc();
+  tallies_.claims_granted.inc();
   return true;
 }
 
@@ -117,8 +73,7 @@ void DarrRepository::store(DarrRecord record, double stored_at_sim_time) {
   record.stored_at = stored_at_sim_time;
   claims_.erase(record.key);
   records_[record.key] = std::move(record);
-  counters_.stores->inc();
-  family_.store.inc();
+  tallies_.store.inc();
 }
 
 void DarrRepository::abandon(const std::string& key,
@@ -179,12 +134,12 @@ void DarrRepository::release(const std::string& key,
 
 DarrRepository::Counters DarrRepository::counters() const {
   Counters out;
-  out.lookups = counters_.lookups->value();
-  out.hits = counters_.hits->value();
-  out.stores = counters_.stores->value();
-  out.claims_granted = counters_.claims_granted->value();
-  out.claims_denied = counters_.claims_denied->value();
-  out.claims_expired = counters_.claims_expired->value();
+  out.hits = tallies_.lookup_hit.value();
+  out.lookups = out.hits + tallies_.lookup_miss.value();
+  out.stores = tallies_.store.value();
+  out.claims_granted = tallies_.claims_granted.value();
+  out.claims_denied = tallies_.claims_denied.value();
+  out.claims_expired = tallies_.claims_expired.value();
   return out;
 }
 

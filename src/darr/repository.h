@@ -42,9 +42,7 @@ class DarrRepository : public RecordStore {
     std::string node_name = "darr";
   };
 
-  /// Per-instance counter snapshot. Backed by the obs::MetricsRegistry
-  /// (each repository registers `darr.repo#<n>.*` counters); this struct
-  /// is a point-in-time view, kept for API compatibility.
+  /// Point-in-time view of this repository's own counts.
   struct Counters {
     std::size_t lookups = 0;
     std::size_t hits = 0;
@@ -90,7 +88,6 @@ class DarrRepository : public RecordStore {
   void put(DarrRecord record, Wire& wire) override;
   void release(const std::string& key, const std::string& client,
                Wire& wire) override;
-  std::size_t n_records() const override { return size(); }
 
  private:
   struct Claim {
@@ -98,33 +95,24 @@ class DarrRepository : public RecordStore {
     std::chrono::steady_clock::time_point expires_at;
   };
 
-  /// This instance's registry-backed counters (`darr.repo#<n>.*`).
-  struct InstanceCounters {
-    obs::Counter* lookups = nullptr;
-    obs::Counter* hits = nullptr;
-    obs::Counter* stores = nullptr;
-    obs::Counter* claims_granted = nullptr;
-    obs::Counter* claims_denied = nullptr;
-    obs::Counter* claims_expired = nullptr;
-  };
-
-  /// Process-wide family counters paired with this node's shard (fleet
-  /// telemetry): one inc() hits both registries.
-  struct FamilyCounters {
-    obs::ScopedCounter lookup_hit;
-    obs::ScopedCounter lookup_miss;
-    obs::ScopedCounter store;
-    obs::ScopedCounter claims_granted;
-    obs::ScopedCounter claims_denied;
-    obs::ScopedCounter claims_expired;
+  /// One handle per event: each inc() writes the process-wide family,
+  /// this node's shard (fleet telemetry) and the instance value
+  /// counters() reads.
+  struct Tallies {
+    explicit Tallies(obs::MetricScope& node);
+    obs::TalliedCounter lookup_hit;
+    obs::TalliedCounter lookup_miss;
+    obs::TalliedCounter store;
+    obs::TalliedCounter claims_granted;
+    obs::TalliedCounter claims_denied;
+    obs::TalliedCounter claims_expired;
   };
 
   Config config_;
   mutable std::mutex mutex_;
   std::map<std::string, DarrRecord> records_;
   std::map<std::string, Claim> claims_;
-  InstanceCounters counters_;
-  FamilyCounters family_;
+  Tallies tallies_;
 };
 
 }  // namespace coda::darr

@@ -10,6 +10,12 @@
 
 namespace coda::darr {
 
+namespace {
+
+constexpr std::size_t kRingPoints = 32;  ///< virtual nodes per shard
+
+}  // namespace
+
 std::uint64_t stable_hash64(const std::string& s) {
   // FNV-1a over the bytes, then splitmix64 to spread low-entropy inputs
   // (ring point labels differ only in a few digits) across the ring.
@@ -63,7 +69,7 @@ std::vector<std::size_t> HashRing::owners(const std::string& key) const {
 DarrCluster::DarrCluster(dist::SimNet* net, Config config)
     : net_(net),
       config_(std::move(config)),
-      ring_(config_.n_shards, config_.replication, config_.ring_points) {
+      ring_(config_.n_shards, config_.replication, kRingPoints) {
   require(net != nullptr, "DarrCluster: null network");
   config_.sync_retry.validate();
   // Register the failed-sync family up front so a healthy run still
@@ -72,7 +78,7 @@ DarrCluster::DarrCluster(dist::SimNet* net, Config config)
   nodes_.reserve(config_.n_shards);
   shards_.reserve(config_.n_shards);
   for (std::size_t i = 0; i < config_.n_shards; ++i) {
-    const std::string name = config_.node_prefix + std::to_string(i);
+    const std::string name = "shard" + std::to_string(i);
     nodes_.push_back(net_->add_node(name));
     DarrRepository::Config repo_config;
     repo_config.claim_ttl_ms = config_.claim_ttl_ms;
@@ -136,6 +142,17 @@ ShardedDarrService::ShardedDarrService(DarrCluster* cluster,
     : cluster_(cluster), self_(self), retry_(retry) {
   require(cluster != nullptr, "ShardedDarrService: null cluster");
   retry_.validate();
+  for (std::size_t s = 0; s < cluster->n_shards(); ++s) {
+    require(self != cluster->node(s),
+            "ShardedDarrService: client and repository must be distinct "
+            "nodes");
+  }
+}
+
+bool ShardedDarrService::skip_owner(const std::vector<std::size_t>& owners,
+                                    std::size_t i) const {
+  return i + 1 < owners.size() &&
+         !cluster_->net().node_up(cluster_->node(owners[i]));
 }
 
 std::size_t ShardedDarrService::serving_shard(const std::string& key) const {
@@ -171,12 +188,13 @@ std::optional<DarrRecord> ShardedDarrService::fetch(const std::string& key,
   const std::size_t request = key_request_size(key);
   bool failover = false;  // true once any owner was skipped or unreachable
   bool reached = false;
-  for (const std::size_t shard : owners) {
-    const dist::NodeId node = cluster_->node(shard);
-    if (!cluster_->net().node_up(node)) {
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    if (skip_owner(owners, i)) {
       failover = true;
       continue;
     }
+    const std::size_t shard = owners[i];
+    const dist::NodeId node = cluster_->node(shard);
     std::optional<DarrRecord> record;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
@@ -253,9 +271,10 @@ bool ShardedDarrService::claim(const std::string& key,
                                const std::string& client, Wire& wire) {
   const auto owners = cluster_->owners(key);
   const std::size_t request = key_request_size(key) + client.size();
-  for (const std::size_t shard : owners) {
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    if (skip_owner(owners, i)) continue;
+    const std::size_t shard = owners[i];
     const dist::NodeId node = cluster_->node(shard);
-    if (!cluster_->net().node_up(node)) continue;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
                                 "darr.try_claim");
@@ -295,9 +314,10 @@ bool ShardedDarrService::claim(const std::string& key,
 void ShardedDarrService::put(DarrRecord record, Wire& wire) {
   const auto owners = cluster_->owners(record.key);
   const std::size_t request = record.wire_size();
-  for (const std::size_t shard : owners) {
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    if (skip_owner(owners, i)) continue;
+    const std::size_t shard = owners[i];
     const dist::NodeId node = cluster_->node(shard);
-    if (!cluster_->net().node_up(node)) continue;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
                                 "darr.store");
@@ -329,9 +349,10 @@ void ShardedDarrService::release(const std::string& key,
                                  const std::string& client, Wire& wire) {
   const auto owners = cluster_->owners(key);
   const std::size_t request = key_request_size(key) + client.size();
-  for (const std::size_t shard : owners) {
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    if (skip_owner(owners, i)) continue;
+    const std::size_t shard = owners[i];
     const dist::NodeId node = cluster_->node(shard);
-    if (!cluster_->net().node_up(node)) continue;
     try {
       dist::transfer_with_retry(cluster_->net(), self_, node, request, retry_,
                                 "darr.abandon");
@@ -357,7 +378,5 @@ void ShardedDarrService::release(const std::string& key,
   }
   throw NetworkError("darr.shard.abandon: no reachable owner for " + key);
 }
-
-std::size_t ShardedDarrService::n_records() const { return cluster_->size(); }
 
 }  // namespace coda::darr

@@ -68,9 +68,7 @@ class DarrCluster {
     /// Copies of every record/lease, including the primary. Clamped to
     /// n_shards; 1 = no replication.
     std::size_t replication = 2;
-    std::size_t ring_points = 32;  ///< virtual nodes per shard
     int claim_ttl_ms = 2000;
-    std::string node_prefix = "shard";
     /// Retry budget for replica sync transfers (server-to-server).
     RetryPolicy sync_retry = {};
   };
@@ -81,6 +79,7 @@ class DarrCluster {
     std::size_t bytes_shipped = 0;
   };
 
+  /// Adds one SimNet node per shard, named shard0, shard1, ...
   DarrCluster(dist::SimNet* net, Config config);
   explicit DarrCluster(dist::SimNet* net);  ///< default Config
 
@@ -122,9 +121,13 @@ class DarrCluster {
 /// The client-side RecordStore over a DarrCluster: one instance per client
 /// node. Every operation routes to the key's first live owner (primary
 /// unless crashed/unreachable — that is the failover), applies there, and
-/// replicates the state change to the remaining owners.
+/// replicates the state change to the remaining owners. A crashed owner is
+/// skipped only while a later owner remains: the last one is always tried
+/// under `retry`, so a crash window shorter than the retry budget is
+/// waited out (a 1-shard tier rides out a repository restart).
 class ShardedDarrService final : public RecordStore {
  public:
+  /// `self` is the client's node; it must not be one of the shard nodes.
   ShardedDarrService(DarrCluster* cluster, dist::NodeId self,
                      RetryPolicy retry = {});
 
@@ -140,9 +143,13 @@ class ShardedDarrService final : public RecordStore {
   void put(DarrRecord record, Wire& wire) override;
   void release(const std::string& key, const std::string& client,
                Wire& wire) override;
-  std::size_t n_records() const override;
 
  private:
+  /// True when the owner loop passes owners[i] by untried: it is inside a
+  /// crash window and a later owner remains.
+  bool skip_owner(const std::vector<std::size_t>& owners,
+                  std::size_t i) const;
+
   /// First owner of `key` that is outside a crash window (the serving
   /// shard for grouped sweeps); falls back to the primary when every
   /// owner is down.

@@ -5,9 +5,9 @@
 // is only ever taken at first registration and at export time.
 //
 // Naming convention: dot-separated families, label as the last segment —
-// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Per-instance views (the thin
-// accessors kept on DarrRepository / SimNet / DarrClient) use an instance
-// segment: `darr.repo#3.stores`.
+// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Per-instance views kept on
+// SimNet and RemoteService use an instance segment: `simnet.net#3.bytes`;
+// DarrRepository and DarrClient keep theirs on TalliedCounter handles.
 //
 // Fleet telemetry (DESIGN.md §12): in addition to the process-wide
 // registry, every simulated node can own a MetricScope — a registry shard
@@ -226,6 +226,28 @@ class ScopedCounter {
   Counter* shard_ = nullptr;
 };
 
+/// ScopedCounter that also keeps this handle's own total: one inc() writes
+/// the process-wide family, the node shard and the instance value that
+/// per-object views (DarrClient::stats(), DarrRepository::counters()) read
+/// back. The instance value lives and dies with its owner; reset_all()
+/// zeroes only the registry sides.
+class TalliedCounter {
+ public:
+  /// Counts into `name` in the process-wide registry and in `scope`.
+  TalliedCounter(const std::string& name, MetricScope& scope)
+      : scoped_(&counter(name), &scope.counter(name)) {}
+
+  void inc(std::uint64_t n = 1) {
+    scoped_.inc(n);
+    own_.inc(n);
+  }
+  std::uint64_t value() const { return own_.value(); }
+
+ private:
+  ScopedCounter scoped_;
+  Counter own_;
+};
+
 /// Histogram handle mirroring ScopedCounter for observe().
 class ScopedHistogram {
  public:
@@ -253,7 +275,7 @@ void count_scoped(const std::string& name, std::uint64_t n = 1);
 void observe_scoped(const std::string& name, double value,
                     std::vector<double> bounds = {});
 
-/// Process-wide source of per-instance metric ids: "darr.repo#<n>." style
+/// Process-wide source of per-instance metric ids: "simnet.net#<n>." style
 /// prefixes mint one id per `family`. reset_instance_ids() (called by
 /// obs::reset_all()) rewinds every family to 0 so seed-deterministic
 /// back-to-back runs register identical instance names.

@@ -52,10 +52,10 @@ struct ChaosSchedule {
   int crashed_client = -1;  ///< client index; -1 = no crash
   double crash_start = 0.0;
   double crash_end = 0.0;
-  /// Repository tier shape: 0 = the single "darr" node; >= 1 shards the
-  /// repository by consistent hashing with `replication` copies per record
-  /// (DESIGN.md §13).
-  std::size_t n_shards = 0;
+  /// Repository tier shape: the repository is sharded across this many
+  /// nodes by consistent hashing with `replication` copies per record
+  /// (DESIGN.md §13); one shard is the single shared repository.
+  std::size_t n_shards = 1;
   std::size_t replication = 1;
   /// Crash window for one shard node: claims/stores whose serving owner
   /// falls inside the window fail over to the next replica on the ring.
@@ -77,7 +77,7 @@ struct ChaosSchedule {
       out << ", crash(client" << crashed_client << ", [" << crash_start
           << ", " << crash_end << "))";
     }
-    if (n_shards > 0) {
+    if (n_shards > 1) {
       out << ", shards(" << n_shards << ", rf=" << replication << ")";
     }
     if (crashed_shard >= 0) {
@@ -107,16 +107,14 @@ inline RetryPolicy chaos_retry_policy(std::uint64_t seed) {
   return policy;
 }
 
-/// The shared fabric of one chaos run: a repository tier — the single
-/// "darr" node, or a sharded, replicated DarrCluster — plus `n_clients`
-/// client nodes, with `schedule` applied to the SimNet.
+/// The shared fabric of one chaos run: a repository tier — a DarrCluster
+/// of one or more shards — plus `n_clients` client nodes, with `schedule`
+/// applied to the SimNet.
 struct ChaosFabric {
-  darr::DarrRepository repository;  ///< single-node tier (n_shards == 0)
   dist::SimNet net;
-  dist::NodeId repo_node = 0;
-  std::unique_ptr<darr::DarrCluster> cluster;  ///< sharded tier, else null
+  std::unique_ptr<darr::DarrCluster> cluster;
   std::vector<dist::NodeId> client_nodes;
-  std::vector<std::unique_ptr<darr::RecordStore>> services;
+  std::vector<std::unique_ptr<darr::ShardedDarrService>> services;
   std::vector<std::unique_ptr<darr::DarrClient>> clients;
 
   ChaosFabric(std::size_t n_clients, const ChaosSchedule& schedule) {
@@ -124,30 +122,21 @@ struct ChaosFabric {
     faults.seed = schedule.seed;
     faults.drop_probability = schedule.drop_probability;
     faults.latency_spike_probability = schedule.latency_spike_probability;
-    if (schedule.n_shards == 0) {
-      repo_node = net.add_node("darr");
-    } else {
-      darr::DarrCluster::Config config;
-      config.n_shards = schedule.n_shards;
-      config.replication = schedule.replication;
-      config.sync_retry = chaos_retry_policy(schedule.seed ^ 0x5eed);
-      cluster = std::make_unique<darr::DarrCluster>(&net, config);
-    }
+    darr::DarrCluster::Config config;
+    config.n_shards = schedule.n_shards;
+    config.replication = schedule.replication;
+    config.sync_retry = chaos_retry_policy(schedule.seed ^ 0x5eed);
+    cluster = std::make_unique<darr::DarrCluster>(&net, config);
     net.set_faults(faults);
     for (std::size_t i = 0; i < n_clients; ++i) {
       const std::string name = "client" + std::to_string(i);
       const dist::NodeId node = net.add_node(name);
       client_nodes.push_back(node);
       const RetryPolicy retry = chaos_retry_policy(schedule.seed ^ (i + 1));
-      if (cluster) {
-        services.push_back(std::make_unique<darr::ShardedDarrService>(
-            cluster.get(), node, retry));
-        clients.push_back(std::make_unique<darr::DarrClient>(
-            services.back().get(), name, retry));
-      } else {
-        clients.push_back(std::make_unique<darr::DarrClient>(
-            &repository, &net, node, repo_node, name, retry));
-      }
+      services.push_back(std::make_unique<darr::ShardedDarrService>(
+          cluster.get(), node, retry));
+      clients.push_back(std::make_unique<darr::DarrClient>(
+          services.back().get(), name, retry));
     }
     if (schedule.partitioned_client >= 0) {
       const dist::NodeId node =
@@ -166,17 +155,14 @@ struct ChaosFabric {
                      schedule.crash_start, schedule.crash_end);
     }
     if (schedule.crashed_shard >= 0) {
-      require(cluster != nullptr,
-              "ChaosSchedule: crashed_shard needs n_shards > 0");
       net.crash_node(
           cluster->node(static_cast<std::size_t>(schedule.crashed_shard)),
           schedule.shard_crash_start, schedule.shard_crash_end);
     }
   }
 
-  /// Every node of the repository tier (one, or each shard).
+  /// Every node of the repository tier (each shard).
   std::vector<dist::NodeId> repository_nodes() const {
-    if (!cluster) return {repo_node};
     std::vector<dist::NodeId> nodes;
     for (std::size_t s = 0; s < cluster->n_shards(); ++s) {
       nodes.push_back(cluster->node(s));
@@ -184,9 +170,9 @@ struct ChaosFabric {
     return nodes;
   }
 
-  /// Repository counters, summed across shards in sharded mode.
+  /// Repository counters, summed across shards.
   darr::DarrRepository::Counters counters() const {
-    return cluster ? cluster->counters() : repository.counters();
+    return cluster->counters();
   }
 };
 
@@ -206,7 +192,7 @@ struct ChaosRun {
   /// The per-client plan total (identical on every client).
   std::size_t fold_evaluations_planned = 0;
   darr::DarrRepository::Counters repository_counters;
-  darr::DarrCluster::SyncStats sync_stats;  ///< zeros in single-node mode
+  darr::DarrCluster::SyncStats sync_stats;  ///< zeros when replication == 1
   dist::SimNet::FaultStats fault_stats;
 };
 
@@ -243,7 +229,7 @@ ChaosRun run_clients(ChaosFabric& fabric, std::size_t n_candidates,
           ? run.total_local_evaluations - run.total_candidates
           : 0;
   run.repository_counters = fabric.counters();
-  if (fabric.cluster) run.sync_stats = fabric.cluster->sync_stats();
+  run.sync_stats = fabric.cluster->sync_stats();
   run.fault_stats = fabric.net.fault_stats();
   return run;
 }

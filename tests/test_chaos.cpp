@@ -397,9 +397,10 @@ TEST(Chaos, SameScheduleReplaysIdenticalFaultDecisions) {
   auto outcomes = [&](chaos::ChaosFabric& fabric) {
     std::vector<bool> out;
     for (int i = 0; i < 100; ++i) {
-      out.push_back(
-          fabric.net.transfer(fabric.client_nodes[0], fabric.repo_node, 64)
-              .ok());
+      out.push_back(fabric.net
+                        .transfer(fabric.client_nodes[0],
+                                  fabric.cluster->node(0), 64)
+                        .ok());
     }
     return out;
   };
@@ -480,7 +481,7 @@ TEST(Chaos, CrashedClientsClaimsAreReclaimableByPeers) {
   crashed.abandon_all();
   EXPECT_TRUE(crashed.held_claims().empty());
   EXPECT_TRUE(peer.claim("fig3/candidate"));
-  EXPECT_EQ(fabric.repository.counters().claims_expired, 0u);
+  EXPECT_EQ(fabric.counters().claims_expired, 0u);
 }
 
 TEST(Chaos, AbandonAllSurvivesAnUnreachableRepository) {

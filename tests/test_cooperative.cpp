@@ -39,8 +39,8 @@ TEGraph graph() {
 TEST(Cooperative, AllClientsSeeCompleteResults) {
   const auto d = dataset();
   const auto g = graph();
-  const auto report =
-      run_cooperative_search(g, d, KFold(4), Metric::kRmse, 3);
+  const auto report = run_cooperative_search(g, d, KFold(4), Metric::kRmse,
+                                             {.n_clients = 3});
   EXPECT_EQ(report.total_candidates, 9u);
   ASSERT_EQ(report.clients.size(), 3u);
   for (const auto& client : report.clients) {
@@ -55,8 +55,8 @@ TEST(Cooperative, AllClientsSeeCompleteResults) {
 TEST(Cooperative, NoRedundantEvaluations) {
   const auto d = dataset();
   const auto g = graph();
-  const auto report =
-      run_cooperative_search(g, d, KFold(4), Metric::kRmse, 4);
+  const auto report = run_cooperative_search(g, d, KFold(4), Metric::kRmse,
+                                             {.n_clients = 4});
   // Claims partition the space: total local work == candidate count.
   EXPECT_EQ(report.total_local_evaluations, report.total_candidates);
   EXPECT_EQ(report.redundant_evaluations, 0u);
@@ -69,8 +69,10 @@ TEST(Cooperative, NoRedundantEvaluations) {
 TEST(Cooperative, AgreesWithSoloRunOnBestPipeline) {
   const auto d = dataset();
   const auto g = graph();
-  const auto solo = run_cooperative_search(g, d, KFold(4), Metric::kRmse, 1);
-  const auto crowd = run_cooperative_search(g, d, KFold(4), Metric::kRmse, 4);
+  const auto solo = run_cooperative_search(g, d, KFold(4), Metric::kRmse,
+                                           {.n_clients = 1});
+  const auto crowd = run_cooperative_search(g, d, KFold(4), Metric::kRmse,
+                                            {.n_clients = 4});
   EXPECT_EQ(solo.clients[0].report.best().spec,
             crowd.clients[0].report.best().spec);
   EXPECT_DOUBLE_EQ(solo.clients[0].report.best().mean_score,
@@ -102,8 +104,8 @@ TEST(Cooperative, WorkIsActuallyDistributed) {
   models.push_back(std::make_unique<KnnRegressor>());
   g.add_regression_models(std::move(models));  // 12 candidates
 
-  const auto report =
-      run_cooperative_search(g, d, KFold(4), Metric::kRmse, 3);
+  const auto report = run_cooperative_search(g, d, KFold(4), Metric::kRmse,
+                                             {.n_clients = 3});
   std::size_t max_local = 0;
   for (const auto& client : report.clients) {
     max_local = std::max(max_local, client.evaluated_locally);
@@ -115,8 +117,8 @@ TEST(Cooperative, WorkIsActuallyDistributed) {
 TEST(Cooperative, SingleClientDegeneratesToPlainSearch) {
   const auto d = dataset();
   const auto g = graph();
-  const auto report =
-      run_cooperative_search(g, d, KFold(3), Metric::kRmse, 1);
+  const auto report = run_cooperative_search(g, d, KFold(3), Metric::kRmse,
+                                             {.n_clients = 1});
   EXPECT_EQ(report.clients[0].evaluated_locally, 9u);
   EXPECT_EQ(report.clients[0].served_from_cache, 0u);
   EXPECT_EQ(report.redundant_evaluations, 0u);
@@ -125,7 +127,8 @@ TEST(Cooperative, SingleClientDegeneratesToPlainSearch) {
 TEST(Cooperative, RejectsZeroClients) {
   const auto d = dataset();
   const auto g = graph();
-  EXPECT_THROW(run_cooperative_search(g, d, KFold(3), Metric::kRmse, 0),
+  EXPECT_THROW(run_cooperative_search(g, d, KFold(3), Metric::kRmse,
+                                      {.n_clients = 0}),
                InvalidArgument);
 }
 

@@ -8,6 +8,7 @@
 
 #include "src/darr/client.h"
 #include "src/darr/repository.h"
+#include "src/darr/sharded.h"
 
 namespace coda::darr {
 namespace {
@@ -124,11 +125,13 @@ TEST(DarrRepository, EmptyKeyRejected) {
 }
 
 struct ClientFixture : ::testing::Test {
-  DarrRepository repo;
   dist::SimNet net;
-  dist::NodeId repo_node = net.add_node("darr");
+  DarrCluster cluster{&net, {.n_shards = 1, .replication = 1}};
+  DarrRepository& repo = cluster.shard(0);
+  dist::NodeId repo_node = cluster.node(0);
   dist::NodeId client_node = net.add_node("c0");
-  DarrClient client{&repo, &net, client_node, repo_node, "c0"};
+  ShardedDarrService service{&cluster, client_node};
+  DarrClient client{&service, "c0"};
 };
 
 TEST_F(ClientFixture, ImplementsResultCacheContract) {
@@ -173,10 +176,11 @@ TEST_F(ClientFixture, RecordCarriesProducerName) {
 }
 
 TEST(DarrClient, ConstructionValidated) {
-  DarrRepository repo;
   dist::SimNet net;
-  const auto n = net.add_node("x");
-  EXPECT_THROW(DarrClient(&repo, &net, n, n, "c"), InvalidArgument);
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  // The client and the repository must be distinct nodes.
+  EXPECT_THROW(ShardedDarrService(&cluster, cluster.node(0)),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the RecordStore surface (DESIGN.md §13): the hash ring, the
 // sharded cluster's routing/replication/failover, RecordStore
-// substitutability (repository, single-node service, sharded service, and
-// a test fake all behind one interface), and the DarrClient behaviours
+// substitutability (repository, 1-shard and 4-shard services, and a test
+// fake all behind one interface), and the DarrClient behaviours
 // that ride on it — claim tracking across lost responses and
 // abandon_all()'s heal-and-release retry passes.
 #include <gtest/gtest.h>
@@ -115,7 +115,6 @@ class FakeRecordStore final : public RecordStore {
     const auto it = claims_.find(key);
     if (it != claims_.end() && it->second == client) claims_.erase(it);
   }
-  std::size_t n_records() const override { return records_.size(); }
 
  private:
   std::map<std::string, DarrRecord> records_;
@@ -132,7 +131,7 @@ void exercise_protocol(RecordStore& store) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->mean_score, 0.25);
   EXPECT_FALSE(store.claim("k", "client1", wire));  // record defends
-  EXPECT_EQ(store.n_records(), 1u);
+  EXPECT_FALSE(store.fetch("k2", wire).has_value());  // only "k" published
   // fetch_many default: one slot per key, order preserved.
   const auto many = store.fetch_many({"k", "missing"}, wire);
   ASSERT_EQ(many.size(), 2u);
@@ -154,12 +153,11 @@ TEST(RecordStore, FakeImplementsTheContract) {
   exercise_protocol(fake);
 }
 
-TEST(RecordStore, SingleNodeServiceImplementsTheContract) {
-  DarrRepository repo;
+TEST(RecordStore, SingleShardServiceImplementsTheContract) {
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
   const auto self = net.add_node("client");
-  SingleNodeDarrService service(&repo, &net, self, repo_node, RetryPolicy{});
+  ShardedDarrService service(&cluster, self, RetryPolicy{});
   exercise_protocol(service);
 }
 
@@ -303,13 +301,50 @@ TEST(ShardedDarr, AllOwnersDownThrowsNetworkError) {
   EXPECT_THROW(service.fetch_many({"a", "b"}, wire), NetworkError);
 }
 
+TEST(ShardedDarr, SoleOwnerCrashIsWaitedOutUnderRetry) {
+  // A 1-shard tier has no replica to fail over to: each operation must try
+  // the crashed shard under its retry budget, whose backoff walks the
+  // logical clock past a crash window shorter than that budget.
+  dist::SimNet net;
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  const auto self = net.add_node("client");
+  RetryPolicy retry;
+  retry.max_attempts = 8;
+  retry.initial_backoff_seconds = 0.05;
+  retry.multiplier = 2.0;
+  retry.max_backoff_seconds = 1.0;
+  retry.jitter_fraction = 0.0;
+  retry.deadline_seconds = 20.0;
+  ShardedDarrService service(&cluster, self, retry);
+  const auto crash_shard = [&] {
+    net.crash_node(cluster.node(0), net.now(), net.now() + 0.5);
+    EXPECT_FALSE(net.node_up(cluster.node(0)));
+  };
+
+  Wire wire;
+  crash_shard();
+  EXPECT_TRUE(service.claim("k", "client0", wire));
+  crash_shard();
+  service.put(sample_record("k"), wire);
+  crash_shard();
+  EXPECT_TRUE(service.fetch("k", wire).has_value());
+  crash_shard();
+  EXPECT_TRUE(service.fetch_many({"k"}, wire).at(0).has_value());
+  ASSERT_TRUE(service.claim("k2", "client0", wire));
+  crash_shard();
+  service.release("k2", "client0", wire);
+  EXPECT_TRUE(net.node_up(cluster.node(0)));
+  EXPECT_TRUE(cluster.shard(0).try_claim("k2", "peer"));  // lease released
+}
+
 // ---------------------------------------------------------------------------
 // abandon_all: release retried once the partition heals
 
 TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
-  DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  DarrRepository& repo = cluster.shard(0);
+  const auto repo_node = cluster.node(0);
   const auto self = net.add_node("client");
   RetryPolicy retry;
   retry.max_attempts = 4;
@@ -318,7 +353,8 @@ TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
   retry.max_backoff_seconds = 1.0;
   retry.jitter_fraction = 0.0;
   retry.deadline_seconds = 8.0;
-  DarrClient client(&repo, &net, self, repo_node, "client0", retry);
+  ShardedDarrService service(&cluster, self, retry);
+  DarrClient client(&service, "client0", retry);
 
   ASSERT_TRUE(client.claim("k1"));
   ASSERT_TRUE(client.claim("k2"));
@@ -342,15 +378,16 @@ TEST(DarrClient, AbandonAllReleasesClaimsOnceThePartitionHeals) {
 }
 
 TEST(DarrClient, AbandonAllKeepsUnreachableClaimsTracked) {
-  DarrRepository repo;
   dist::SimNet net;
-  const auto repo_node = net.add_node("darr");
+  DarrCluster cluster(&net, {.n_shards = 1, .replication = 1});
+  const auto repo_node = cluster.node(0);
   const auto self = net.add_node("client");
   RetryPolicy tiny;
   tiny.max_attempts = 2;
   tiny.initial_backoff_seconds = 0.01;
   tiny.deadline_seconds = 1.0;
-  DarrClient client(&repo, &net, self, repo_node, "client0", tiny);
+  ShardedDarrService service(&cluster, self, tiny);
+  DarrClient client(&service, "client0", tiny);
 
   ASSERT_TRUE(client.claim("k"));
   net.partition(self, repo_node, net.now(), 1e9);  // never heals

@@ -490,7 +490,8 @@ TEGraph mini_graph() {
 TEST(FleetTelemetry, CooperativeRunFleetMatchesGlobalRegistry) {
   obs::reset_all();
   const auto report = darr::run_cooperative_search(
-      mini_graph(), mini_dataset(), KFold(3), Metric::kRmse, 2);
+      mini_graph(), mini_dataset(), KFold(3), Metric::kRmse,
+      {.n_clients = 2});
   ASSERT_NE(report.telemetry, nullptr);
   // Fault-free run: the collector's aggregate must reproduce the global
   // registry bit-for-bit on every fleet-shipped family.
@@ -536,11 +537,13 @@ TEST(FleetTelemetry, BackToBackRunsProduceIdenticalMetricsOutput) {
   const Dataset data = mini_dataset();
 
   obs::reset_all();
-  (void)darr::run_cooperative_search(graph, data, KFold(3), Metric::kRmse, 1);
+  (void)darr::run_cooperative_search(graph, data, KFold(3), Metric::kRmse,
+                                     {.n_clients = 1});
   const auto first = integer_metric_state();
 
   obs::reset_all();
-  (void)darr::run_cooperative_search(graph, data, KFold(3), Metric::kRmse, 1);
+  (void)darr::run_cooperative_search(graph, data, KFold(3), Metric::kRmse,
+                                     {.n_clients = 1});
   const auto second = integer_metric_state();
 
   // Identical keys AND identical values: instance ids were rewound by

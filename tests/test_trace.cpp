@@ -81,7 +81,7 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
   obs::reset_all();
   const auto report =
       darr::run_cooperative_search(graph(), dataset(), KFold(3),
-                                   Metric::kRmse, 2);
+                                   Metric::kRmse, {.n_clients = 2});
   ASSERT_EQ(report.clients.size(), 2u);
 
   auto& tracer = obs::Tracer::instance();
@@ -125,7 +125,7 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
       saw_network = true;
     }
     if (s.name.rfind("darr.repo.", 0) == 0) {
-      EXPECT_EQ(s.node, "darr");
+      EXPECT_EQ(s.node, "shard0");
       saw_repo = true;
     }
   }
@@ -305,7 +305,7 @@ std::size_t count_occurrences(const std::string& text,
 TEST(Trace, ChromeExportIsValidJsonWithProcessesAndEvents) {
   obs::reset_all();
   darr::run_cooperative_search(graph(), dataset(), KFold(3), Metric::kRmse,
-                               2);
+                               {.n_clients = 2});
 
   const std::string json = obs::export_chrome_trace();
   EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 512);
@@ -326,7 +326,7 @@ TEST(Trace, CandidateCostsAttributeFoldsAndCacheTraffic) {
   obs::reset_all();
   const auto report =
       darr::run_cooperative_search(graph(), dataset(), KFold(3),
-                                   Metric::kRmse, 2);
+                                   Metric::kRmse, {.n_clients = 2});
 
   const auto costs = obs::CandidateCosts::instance().snapshot();
   ASSERT_EQ(costs.size(), 9u);  // one row per candidate path
