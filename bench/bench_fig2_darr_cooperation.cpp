@@ -154,9 +154,14 @@ void print_fig2() {
   coda::bench::record_entry(
       "fig2_cooperative_8c", rows.empty() ? 0.0 : last_report.wall_seconds,
       0.0, "");
+}
 
-  // Claim-TTL ablation: a client that claims and never stores. Another
-  // client must steal the claim after the TTL rather than deadlock.
+// Claim-TTL ablation: a client that claims and never stores. Another
+// client must steal the claim after the TTL rather than deadlock. Runs
+// before print_fig2(), whose sweep points each start from
+// obs::reset_all(), so the exported metrics and trace hold the last
+// cooperative search alone (every trace rooted at its client's eval.run).
+void print_claim_ttl_ablation() {
   dist::SimNet net;
   darr::DarrCluster cluster(
       &net, {.n_shards = 1, .replication = 1, .claim_ttl_ms = 30});
@@ -217,6 +222,7 @@ int main(int argc, char** argv) {
   // Start from zeroed metrics so the fleet-vs-global check and the
   // exported baseline see only this run's writes.
   obs::reset_all();
+  print_claim_ttl_ablation();
   print_fig2();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

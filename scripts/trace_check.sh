@@ -4,7 +4,10 @@
 # it must parse as JSON (python3 -m json.tool), and the span tree must be
 # causally sound: every span's parent resolves inside its own trace, each
 # complete trace has exactly one root, the export names one process per
-# simulated node (>= 2 pids), and the network track is populated.
+# simulated node (>= 2 pids), and the network track is populated. Spans of
+# profiled sites carry their profile region's name (obs::Region): every
+# trace root is `eval.run`, and none of the span names retired when the
+# spans took those names may appear.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +47,15 @@ assert len(pids) >= 2, f"expected >= 2 processes (nodes), got {len(pids)}"
 spans = [e for e in events if e.get("ph") == "X"]
 assert spans, "no complete ('X') events in export"
 assert any(e.get("cat") == "network" for e in spans), "no network spans"
+
+retired = {"evaluator.evaluate", "evaluator.candidate", "evaluator.fold",
+           "darr.client.lookup", "darr.client.lookup_many",
+           "darr.client.try_claim", "darr.client.store", "darr.client.abandon"}
+stale = sorted({e["name"] for e in spans} & retired)
+assert not stale, f"retired span names in export: {stale}"
+bad_roots = sorted({e["name"] for e in spans if e["args"]["parent"] == 0} -
+                   {"eval.run"})
+assert not bad_roots, f"trace roots other than eval.run: {bad_roots}"
 
 by_trace = collections.defaultdict(dict)
 for e in spans:

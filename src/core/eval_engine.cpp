@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <numeric>
@@ -13,7 +12,6 @@
 #include "src/core/search_scheduler.h"
 
 #include "src/obs/obs.h"
-#include "src/util/stopwatch.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer_wheel.h"
 
@@ -24,23 +22,6 @@ namespace {
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-/// Mean and population stddev of `scores` ({0, 0} when empty): the one
-/// formula behind every reported and published result, so a result a peer
-/// publishes is bit-identical to the one this client would report.
-std::pair<double, double> mean_stddev(const std::vector<double>& scores) {
-  if (scores.empty()) return {0.0, 0.0};
-  const double k = static_cast<double>(scores.size());
-  double sum = 0.0;
-  for (const double sc : scores) sum += sc;
-  const double mean = sum / k;
-  double var = 0.0;
-  for (const double sc : scores) {
-    const double d = sc - mean;
-    var += d * d;
-  }
-  return {mean, std::sqrt(var / k)};
 }
 
 }  // namespace
@@ -55,7 +36,7 @@ std::shared_ptr<const void> PrefixCache::lookup(const std::string& key) {
   // One region around the whole lookup (hit and miss paths alike): the
   // profiler's determinism contract forbids regions inside miss-gated
   // branches, whose interleaving is racy under a parallel pool.
-  PROF_SCOPE("eval.prefix.lookup");
+  const obs::Region region(obs::region_id<"eval.prefix.lookup">());
   static auto& hit = obs::counter("eval.prefix_cache.hit");
   static auto& miss = obs::counter("eval.prefix_cache.miss");
   std::lock_guard<std::mutex> lock(mutex_);
@@ -260,14 +241,12 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
                                  std::size_t n_folds) const {
   require(!candidates.empty(), "EvalEngine: no candidates");
   require(n_folds > 0, "EvalEngine: need at least one fold");
-  obs::ScopedSpan span("evaluator.evaluate");
-  PROF_SCOPE("eval.run");
+  obs::Region run_region(obs::region_id<"eval.run">(), obs::kTraced);
   // Captured for pool/wheel tasks: thread-local parenting does not cross a
   // submit(), so every task re-installs the root context (and the node
   // attribution of the simulated client driving this run) via ContextScope.
-  const obs::TraceContext root_ctx = span.context();
+  const obs::TraceContext root_ctx = run_region.context();
   const std::string root_node = obs::Tracer::current_node();
-  Stopwatch total_timer;
 
   // Candidate-level events write through count_scoped()/observe_scoped():
   // the process-wide family plus (when this run is driven by a simulated
@@ -342,13 +321,12 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
   std::atomic<std::size_t> local_fold_evals{0};
   std::size_t remaining = n;  ///< candidates the sweep did not answer
   if (coop.cooperative()) {
-    PROF_SCOPE("eval.sweep");
+    obs::Region sweep_region(obs::region_id<"eval.sweep">());
     std::vector<std::string> keys;
     keys.reserve(n);
     for (const auto& c : candidates) keys.push_back(c.key);
-    Stopwatch sweep_timer;
     const auto hits = coop.fetch_many(keys);
-    const double per_key = sweep_timer.elapsed_seconds() / static_cast<double>(n);
+    const double per_key = sweep_region.stop() / static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (!hits[i].has_value() || hits[i]->fold_scores.size() != n_folds) {
         continue;
@@ -490,7 +468,7 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
   // state — so every cooperating client seals identically. Caller holds
   // `mutex`.
   seal_locked = [&] {
-    PROF_SCOPE("eval.search.seal");
+    const obs::Region region(obs::region_id<"eval.search.seal">());
     obs::count_scoped("eval.search.rungs");
     const RungSpec& rung = plan.rungs[rung_index];
     const bool final_rung = rung_index + 1 == plan.rungs.size();
@@ -611,19 +589,16 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     // A sibling fold already failed the candidate: skip the work, just
     // balance the countdown.
     if (!c.failed.load(std::memory_order_acquire)) {
-      PROF_SCOPE("eval.fold");
-      obs::ScopedSpan fold_span("evaluator.fold");
-      fold_span.tag("path", candidates[i].spec);
-      fold_span.tag("fold", std::to_string(fold));
-      fold_span.tag("rung", std::to_string(r));
-      // Ambient attribution: PrefixCache hits/misses inside score_fold
-      // are charged to this candidate's cost row.
+      obs::Region fold_region(obs::region_id<"eval.fold">(), obs::kTraced);
+      fold_region.tag("path", candidates[i].spec);
+      fold_region.tag("fold", std::to_string(fold));
+      fold_region.tag("rung", std::to_string(r));
+      // Ambient attribution: PrefixCache hits/misses and the fold phases
+      // inside score_fold are charged to this candidate's cost row.
       obs::CandidateScope cost_scope(candidates[i].spec);
       try {
-        Stopwatch fold_timer;
-        const double sc = candidates[i].score_fold(fold, prefixes);
-        c.fold_scores[fold] = sc;
-        const double elapsed = fold_timer.elapsed_seconds();
+        c.fold_scores[fold] = candidates[i].score_fold(fold, prefixes);
+        const double elapsed = fold_region.stop();
         obs::observe_scoped("cv.fold.seconds", elapsed);
         obs::CandidateCosts::instance().record_fold(candidates[i].spec,
                                                     elapsed);
@@ -657,11 +632,11 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     // One span per scheduling attempt, parented under the run's root via
     // the ContextScope the submitting task installed. Cooperative calls
     // and fold tasks all descend from it.
-    PROF_SCOPE("eval.candidate");
-    obs::ScopedSpan attempt_span("evaluator.candidate");
-    attempt_span.tag("path", candidates[i].spec);
-    attempt_span.tag("rung", std::to_string(r));
-    if (retry) attempt_span.tag("retry", "1");
+    obs::Region attempt_region(obs::region_id<"eval.candidate">(),
+                               obs::kTraced);
+    attempt_region.tag("path", candidates[i].spec);
+    attempt_region.tag("rung", std::to_string(r));
+    if (retry) attempt_region.tag("retry", "1");
     const std::string key = unit_key(i, r);
     if (coop.cooperative() && !key.empty()) {
       // Adopt a published result if one exists: on a retry it is the peer
@@ -766,7 +741,7 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     // spread over the workers instead of serializing at the tail of the
     // run. Fold tasks parent under this attempt's span (which may close
     // first — parent links are ids, not lifetimes).
-    const obs::TraceContext fold_ctx = attempt_span.context();
+    const obs::TraceContext fold_ctx = attempt_region.context();
     c.folds_left.store(rung.folds(), std::memory_order_release);
     for (std::size_t fold = rung.fold_begin; fold < rung.fold_end; ++fold) {
       workers->pool.submit([&run_fold, i, fold, r, fold_ctx, root_node] {
@@ -821,7 +796,7 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     if (better) report.best_index = i;
   }
   require_state(found, "EvalEngine: every candidate failed");
-  report.total_seconds = total_timer.elapsed_seconds();
+  report.total_seconds = run_region.stop();
   return report;
 }
 

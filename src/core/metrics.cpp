@@ -267,6 +267,20 @@ bool higher_is_better(Metric m) {
   }
 }
 
+std::pair<double, double> mean_stddev(const std::vector<double>& scores) {
+  if (scores.empty()) return {0.0, 0.0};
+  const double k = static_cast<double>(scores.size());
+  double sum = 0.0;
+  for (const double sc : scores) sum += sc;
+  const double mean = sum / k;
+  double var = 0.0;
+  for (const double sc : scores) {
+    const double d = sc - mean;
+    var += d * d;
+  }
+  return {mean, std::sqrt(var / k)};
+}
+
 double score(Metric m, const std::vector<double>& y_true,
              const std::vector<double>& y_pred) {
   switch (m) {

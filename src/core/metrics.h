@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace coda {
@@ -41,6 +42,11 @@ bool higher_is_better(Metric m);
 /// the raw scores). Throws InvalidArgument on size mismatch or empty input.
 double score(Metric m, const std::vector<double>& y_true,
              const std::vector<double>& y_pred);
+
+/// Mean and population stddev of `scores` ({0, 0} when empty): the one
+/// formula behind every reported and published result, so a result a peer
+/// publishes is bit-identical to the one this client would report.
+std::pair<double, double> mean_stddev(const std::vector<double>& scores);
 
 // Individual metric functions (exposed for direct use and tests).
 double mse(const std::vector<double>& y_true, const std::vector<double>& y_pred);

@@ -1,7 +1,6 @@
 #include "src/darr/client.h"
 
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/util/error.h"
 
 namespace coda::darr {
@@ -55,8 +54,8 @@ void DarrClient::untrack_claim(const std::string& key) {
 }
 
 std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
-  PROF_SCOPE("darr.client.fetch");
-  obs::ScopedSpan op_span("darr.client.lookup");
+  const obs::Region op_region(obs::region_id<"darr.client.fetch">(),
+                              obs::kTraced);
   Wire wire;
   const auto record = store_->fetch(key, wire);
   tallies_.lookups.inc();
@@ -69,9 +68,9 @@ std::optional<CachedResult> DarrClient::fetch(const std::string& key) {
 std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
     const std::vector<std::string>& keys) {
   if (keys.empty()) return {};
-  PROF_SCOPE("darr.client.fetch_many");
-  obs::ScopedSpan op_span("darr.client.lookup_many");
-  op_span.tag("keys", std::to_string(keys.size()));
+  obs::Region op_region(obs::region_id<"darr.client.fetch_many">(),
+                        obs::kTraced);
+  op_region.tag("keys", std::to_string(keys.size()));
   Wire wire;
   const auto records = store_->fetch_many(keys, wire);
   std::vector<std::optional<CachedResult>> out;
@@ -92,8 +91,8 @@ std::vector<std::optional<CachedResult>> DarrClient::fetch_many(
 }
 
 bool DarrClient::claim(const std::string& key) {
-  PROF_SCOPE("darr.client.claim");
-  obs::ScopedSpan op_span("darr.client.try_claim");
+  const obs::Region op_region(obs::region_id<"darr.client.claim">(),
+                              obs::kTraced);
   Wire wire;
   bool granted = false;
   try {
@@ -122,8 +121,8 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
   record.fold_scores = result.fold_scores;
   record.explanation = result.explanation;
   record.producer = name_;
-  PROF_SCOPE("darr.client.put");
-  obs::ScopedSpan op_span("darr.client.store");
+  const obs::Region op_region(obs::region_id<"darr.client.put">(),
+                              obs::kTraced);
   Wire wire;
   try {
     store_->put(std::move(record), wire);
@@ -138,8 +137,8 @@ void DarrClient::put(const std::string& key, const CachedResult& result) {
 }
 
 void DarrClient::release(const std::string& key) {
-  PROF_SCOPE("darr.client.release");
-  obs::ScopedSpan op_span("darr.client.abandon");
+  const obs::Region op_region(obs::region_id<"darr.client.release">(),
+                              obs::kTraced);
   Wire wire;
   try {
     store_->release(key, name_, wire);

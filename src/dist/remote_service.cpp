@@ -1,7 +1,5 @@
 #include "src/dist/remote_service.h"
 
-#include <atomic>
-
 #include "src/dist/retry.h"
 #include "src/obs/obs.h"
 
@@ -9,36 +7,29 @@ namespace coda::dist {
 
 namespace {
 
-std::string next_instance_prefix() {
-  // Central id source: obs::reset_all() rewinds it so back-to-back runs
-  // in one process mint identical instance names.
-  return "remote.svc#" +
-         std::to_string(obs::next_instance_id("remote.svc")) + ".";
+obs::MetricScope& service_scope(const SimNet* net, NodeId self) {
+  require(net != nullptr, "RemoteModelService: null dependency");
+  return obs::MetricScope::for_node(net->node_name(self));
 }
 
 }  // namespace
 
+RemoteModelService::Tallies::Tallies(obs::MetricScope& node)
+    : fit_calls("remote.fit.calls", node),
+      predict_calls("remote.predict.calls", node),
+      bytes_in("remote.bytes_in", node),
+      bytes_out("remote.bytes_out", node) {}
+
 RemoteModelService::RemoteModelService(SimNet* net, NodeId self,
                                        std::unique_ptr<Estimator> model,
                                        RetryPolicy retry)
-    : net_(net), self_(self), model_(std::move(model)), retry_(retry) {
-  require(net != nullptr && model_ != nullptr,
-          "RemoteModelService: null dependency");
+    : net_(net),
+      self_(self),
+      model_(std::move(model)),
+      retry_(retry),
+      tallies_(service_scope(net, self)) {
+  require(model_ != nullptr, "RemoteModelService: null dependency");
   retry_.validate();
-  const std::string prefix = next_instance_prefix();
-  stats_.fit_calls = &obs::counter(prefix + "fit_calls");
-  stats_.predict_calls = &obs::counter(prefix + "predict_calls");
-  stats_.bytes_in = &obs::counter(prefix + "bytes_in");
-  stats_.bytes_out = &obs::counter(prefix + "bytes_out");
-  // Fleet telemetry: remote.* families dual-write this node's shard.
-  auto& scope = obs::MetricScope::for_node(net_->node_name(self_));
-  const auto family = [&scope](const char* name) {
-    return obs::ScopedCounter(&obs::counter(name), &scope.counter(name));
-  };
-  family_.fit_calls = family("remote.fit.calls");
-  family_.predict_calls = family("remote.predict.calls");
-  family_.bytes_in = family("remote.bytes_in");
-  family_.bytes_out = family("remote.bytes_out");
 }
 
 void RemoteModelService::fit(NodeId caller, const Matrix& X,
@@ -53,12 +44,9 @@ void RemoteModelService::fit(NodeId caller, const Matrix& X,
     model_->fit(X, y);
   }
   transfer_with_retry(*net_, self_, caller, 16, retry_, "remote.fit");  // ack
-  stats_.fit_calls->inc();
-  stats_.bytes_in->inc(request);
-  stats_.bytes_out->inc(16);
-  family_.fit_calls.inc();
-  family_.bytes_in.inc(request);
-  family_.bytes_out.inc(16);
+  tallies_.fit_calls.inc();
+  tallies_.bytes_in.inc(request);
+  tallies_.bytes_out.inc(16);
 }
 
 std::vector<double> RemoteModelService::predict(NodeId caller,
@@ -76,21 +64,18 @@ std::vector<double> RemoteModelService::predict(NodeId caller,
   const std::size_t response = predictions.size() * sizeof(double) + 16;
   transfer_with_retry(*net_, self_, caller, response, retry_,
                       "remote.predict");
-  stats_.predict_calls->inc();
-  stats_.bytes_in->inc(request);
-  stats_.bytes_out->inc(response);
-  family_.predict_calls.inc();
-  family_.bytes_in.inc(request);
-  family_.bytes_out.inc(response);
+  tallies_.predict_calls.inc();
+  tallies_.bytes_in.inc(request);
+  tallies_.bytes_out.inc(response);
   return predictions;
 }
 
 RemoteModelService::CallStats RemoteModelService::stats() const {
   CallStats out;
-  out.fit_calls = stats_.fit_calls->value();
-  out.predict_calls = stats_.predict_calls->value();
-  out.bytes_in = stats_.bytes_in->value();
-  out.bytes_out = stats_.bytes_out->value();
+  out.fit_calls = tallies_.fit_calls.value();
+  out.predict_calls = tallies_.predict_calls.value();
+  out.bytes_in = tallies_.bytes_in.value();
+  out.bytes_out = tallies_.bytes_out.value();
   return out;
 }
 

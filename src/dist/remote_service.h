@@ -17,14 +17,14 @@ namespace coda::dist {
 /// A fit/predict service wrapping any Estimator behind a network boundary.
 /// Callers pay request+response bytes per invocation, like an HTTP ML API.
 /// Thread-safe: concurrent evaluator threads may call fit/predict through
-/// their RemoteEstimators — call accounting lives in atomic registry
-/// counters (`remote.svc#<n>.*`) and the hosted model is serialized behind
-/// a mutex. Transfers retry under the service's RetryPolicy and throw
+/// their RemoteEstimators — call accounting lives in atomic counters (one
+/// TalliedCounter per event) and the hosted model is serialized behind a
+/// mutex. Transfers retry under the service's RetryPolicy and throw
 /// NetworkError once the budget is spent (the evaluation engine then marks
 /// that candidate failed instead of hanging the search).
 class RemoteModelService {
  public:
-  /// Point-in-time snapshot of the service's registry-backed counters.
+  /// Point-in-time snapshot of this service's call accounting.
   struct CallStats {
     std::size_t fit_calls = 0;
     std::size_t predict_calls = 0;
@@ -54,31 +54,23 @@ class RemoteModelService {
   }
 
  private:
-  /// Registry-backed instance counters; atomic, so concurrent callers need
-  /// no stats lock (the old plain-struct counters raced under tsan).
-  struct InstanceCounters {
-    obs::Counter* fit_calls = nullptr;
-    obs::Counter* predict_calls = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
+  /// One counter per event: each inc() writes the process-wide `remote.*`
+  /// family, this service's node shard (fleet telemetry) and the value
+  /// stats() reads.
+  struct Tallies {
+    explicit Tallies(obs::MetricScope& node);
+    obs::TalliedCounter fit_calls;
+    obs::TalliedCounter predict_calls;
+    obs::TalliedCounter bytes_in;
+    obs::TalliedCounter bytes_out;
   };
 
   SimNet* net_;
   NodeId self_;
   std::unique_ptr<Estimator> model_;
-  /// Process-wide `remote.*` families paired with this service's node
-  /// shard (fleet telemetry): one inc() hits both.
-  struct FamilyCounters {
-    obs::ScopedCounter fit_calls;
-    obs::ScopedCounter predict_calls;
-    obs::ScopedCounter bytes_in;
-    obs::ScopedCounter bytes_out;
-  };
-
   RetryPolicy retry_;
   std::mutex model_mutex_;  // one hosted model, many calling threads
-  InstanceCounters stats_;
-  FamilyCounters family_;
+  Tallies tallies_;
 };
 
 /// Estimator adapter that forwards fit/predict to a RemoteModelService —

@@ -92,9 +92,4 @@ void prefix_event(bool hit) {
   CandidateCosts::instance().record_prefix(t_current_candidate, hit);
 }
 
-void phase_event(Phase phase, double seconds) {
-  if (t_current_candidate.empty()) return;
-  CandidateCosts::instance().record_phase(t_current_candidate, phase, seconds);
-}
-
 }  // namespace coda::obs

@@ -6,8 +6,9 @@
 // output carries a per-pipeline cost table.
 //
 // Attribution is ambient: fold workers install a CandidateScope naming
-// the pipeline path, and lower layers (PrefixCache) call prefix_event()
-// without knowing which candidate is running.
+// the pipeline path, and lower layers charge it without knowing which
+// candidate runs: PrefixCache via prefix_event(), fold phases via an
+// obs::Region built from a Phase (profiler.h).
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,10 @@ struct CandidateCost {
   std::uint64_t prefix_hits = 0;   ///< prefix-cache hits while attributed
   std::uint64_t prefix_misses = 0;
   std::uint64_t cached = 0;  ///< times served from the cooperative cache
-  // Phase breakdown (ISSUE 9): where a candidate's wall time went —
-  // transform preparation, model fitting, scoring, and waiting on a
-  // concurrent peer's claim. prepare+fit+score ≈ fold_seconds (each fold
-  // reports its phases and its total independently).
+  // Phase breakdown: where a candidate's wall time went — preparation,
+  // fitting, scoring, and waiting on a peer's claim. prepare+fit+score ≈
+  // fold_seconds; summed over candidates, each phase equals its
+  // eval.fold.* profile total (one Region times both).
   double prepare_seconds = 0.0;     ///< data/transform preparation
   double fit_seconds = 0.0;         ///< model fitting
   double score_seconds = 0.0;       ///< predict + metric scoring
@@ -39,7 +40,7 @@ struct CandidateCost {
   std::int64_t pruned_at_rung = -1;
 };
 
-/// A fold phase charged via the ambient candidate attribution.
+/// A fold phase, charged to the ambient candidate by a Region built on it.
 enum class Phase : std::uint8_t { kPrepare = 0, kFit = 1, kScore = 2 };
 
 /// Process-wide candidate cost table.
@@ -85,10 +86,5 @@ const std::string& current_candidate();
 /// Charges a prefix-cache hit/miss to the ambient candidate (no-op when
 /// unattributed).
 void prefix_event(bool hit);
-
-/// Charges `seconds` of a fold phase to the ambient candidate (no-op when
-/// unattributed). Score paths wrap their prepare/fit/score blocks with a
-/// Stopwatch and report here, alongside the PROF_SCOPE region.
-void phase_event(Phase phase, double seconds);
 
 }  // namespace coda::obs

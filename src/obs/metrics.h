@@ -1,13 +1,15 @@
 // Process-wide metrics registry (observability layer): named counters,
 // gauges, and fixed-bucket histograms shared by every subsystem. The fast
-// path is a relaxed std::atomic operation — call sites cache the reference
-// once (`static auto& c = obs::counter("name");`) so the registry's mutex
-// is only ever taken at first registration and at export time.
+// path is a relaxed std::atomic operation on a cached reference
+// (`static auto& c = obs::counter("name");`) or handle (ScopedCounter,
+// TalliedCounter), which take the registry mutex only at registration and
+// export. count_scoped()/observe_scoped() look the name up on every call:
+// each takes the registry mutex (and the ambient shard's, if installed).
 //
 // Naming convention: dot-separated families, label as the last segment —
-// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Per-instance views kept on
-// SimNet and RemoteService use an instance segment: `simnet.net#3.bytes`;
-// DarrRepository and DarrClient keep theirs on TalliedCounter handles.
+// e.g. `darr.lookup.hit` / `darr.lookup.miss`. SimNet's per-instance view
+// uses an instance segment: `simnet.net#3.bytes`; DarrRepository,
+// DarrClient and RemoteModelService keep theirs on TalliedCounter handles.
 //
 // Fleet telemetry (DESIGN.md §12): in addition to the process-wide
 // registry, every simulated node can own a MetricScope — a registry shard
@@ -228,9 +230,9 @@ class ScopedCounter {
 
 /// ScopedCounter that also keeps this handle's own total: one inc() writes
 /// the process-wide family, the node shard and the instance value that
-/// per-object views (DarrClient::stats(), DarrRepository::counters()) read
-/// back. The instance value lives and dies with its owner; reset_all()
-/// zeroes only the registry sides.
+/// per-object views (DarrClient::stats(), DarrRepository::counters(),
+/// RemoteModelService::stats()) read back. The instance value lives and
+/// dies with its owner; reset_all() zeroes only the registry sides.
 class TalliedCounter {
  public:
   /// Counts into `name` in the process-wide registry and in `scope`.

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/obs/costs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
@@ -21,17 +22,10 @@ namespace coda::obs::prof {
 
 namespace {
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 // ---------------------------------------------------------------------------
 // Region interning. Names live in a deque so region_name() references stay
-// valid forever; the mutex is only taken at intern time (once per call
-// site, via the PROF_SCOPE function-local static) and at lookup.
+// valid forever; the mutex is only taken at intern time (once per name,
+// via the region_id<> function-local static) and at lookup.
 
 struct Regions {
   std::mutex mutex;
@@ -60,9 +54,11 @@ Regions& regions() {
 
 struct PathNode {
   PathNode(RegionId r, std::string node, PathNode* p)
-      : region(r), node_name(std::move(node)), parent(p) {}
+      : region(r), name(region_name(r)), node_name(std::move(node)),
+        parent(p) {}
 
   const RegionId region;
+  const std::string& name;      // region_name(region), resolved once
   const std::string node_name;  // roots: ambient node attribution; else ""
   PathNode* const parent;       // nullptr for roots
 
@@ -143,7 +139,7 @@ PathNode* root_for(ThreadArena& arena, const std::string& node_name,
 
 // ---------------------------------------------------------------------------
 // Export-side tree walking. Snapshots are approximate under concurrent
-// mutation (a racing scope lands wholly in the next snapshot); at quiesced
+// mutation (a racing region lands wholly in the next snapshot); at quiesced
 // points (bench export, fleet flush, test assertions) they are exact.
 
 template <typename Fn>
@@ -173,7 +169,7 @@ std::uint64_t children_total_ns(const PathNode& node) {
   return sum;
 }
 
-// Self time of one PathNode, clamped at zero: while a scope is live its
+// Self time of one PathNode, clamped at zero: while a region is live its
 // time has not yet landed in the parent's total, so a mid-flight snapshot
 // can transiently observe children > parent.
 std::uint64_t self_ns_of(const PathNode& node) {
@@ -185,7 +181,7 @@ std::uint64_t self_ns_of(const PathNode& node) {
 std::vector<std::string> path_names(const PathNode& leaf) {
   std::vector<std::string> names;
   for (const PathNode* n = &leaf; n != nullptr; n = n->parent) {
-    names.push_back(region_name(n->region));
+    names.push_back(n->name);
   }
   std::reverse(names.begin(), names.end());
   return names;
@@ -222,36 +218,6 @@ const std::string& region_name(RegionId id) {
   std::lock_guard<std::mutex> lock(r.mutex);
   require(id < r.names.size(), "prof::region_name: unknown region id");
   return r.names[id];
-}
-
-Scope::Scope(RegionId region) {
-  ThreadArena& arena = acquire_arena();
-  PathNode* parent = t_state.current;
-  PathNode* node;
-  if (parent == nullptr) {
-    node = root_for(arena, Tracer::current_node(), region);
-  } else {
-    node = find_child(parent, region);
-    if (node == nullptr) node = add_child(arena, parent, region);
-  }
-  node_ = node;
-  prev_ = parent;
-  t_state.current = node;
-  static auto& scopes = obs::counter("prof.scopes");
-  scopes.inc();
-  start_ns_ = now_ns();
-}
-
-Scope::~Scope() {
-  const std::uint64_t elapsed = now_ns() - start_ns_;
-  auto* node = static_cast<PathNode*>(node_);
-  // Single-writer accumulate: relaxed load+store, no RMW on the hot path.
-  node->calls.store(node->calls.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-  node->total_ns.store(
-      node->total_ns.load(std::memory_order_relaxed) + elapsed,
-      std::memory_order_relaxed);
-  t_state.current = static_cast<PathNode*>(prev_);
 }
 
 std::vector<PathStat> merged_paths() {
@@ -359,7 +325,7 @@ std::string report(std::size_t max_rows) {
     os << line;
   }
   // Derived FLOP rate (ISSUE 9): the GEMM kernel publishes flop counts
-  // and per-call seconds; no PROF_SCOPE sits inside the kernel itself.
+  // and per-call seconds; no Region sits inside the kernel itself.
   const auto& reg = MetricsRegistry::instance();
   const auto flops = reg.find_counter("kernel.gemm.flops");
   const Histogram* seconds = reg.find_histogram("kernel.gemm.seconds");
@@ -388,7 +354,7 @@ void publish_node(const std::string& node) {
       if (root->node_name != node) return;
       const std::uint64_t calls = n->calls.load(std::memory_order_relaxed);
       const std::uint64_t self = self_ns_of(*n);
-      Delta& d = deltas[region_name(n->region)];
+      Delta& d = deltas[n->name];
       if (calls > n->pub_calls) d.calls += calls - n->pub_calls;
       if (self > n->pub_self_ns) d.self_ns += self - n->pub_self_ns;
       n->pub_calls = calls;
@@ -461,3 +427,71 @@ void reset() {
 }
 
 }  // namespace coda::obs::prof
+
+namespace coda::obs {
+
+Region::Region(prof::RegionId region) { open(region, /*traced=*/false); }
+
+Region::Region(prof::RegionId region, Traced) { open(region, /*traced=*/true); }
+
+Region::Region(Phase phase) : phase_(phase) {
+  // The fold-phase name table: the one place these region names live.
+  static const prof::RegionId ids[] = {prof::intern("eval.fold.prepare"),
+                                       prof::intern("eval.fold.fit"),
+                                       prof::intern("eval.fold.score")};
+  open(ids[static_cast<std::size_t>(phase)], /*traced=*/false);
+}
+
+void Region::open(prof::RegionId region, bool traced) {
+  using prof::PathNode;
+  prof::ThreadArena& arena = prof::acquire_arena();
+  PathNode* parent = prof::t_state.current;
+  PathNode* node;
+  if (parent == nullptr) {
+    node = prof::root_for(arena, Tracer::current_node(), region);
+  } else {
+    node = prof::find_child(parent, region);
+    if (node == nullptr) node = prof::add_child(arena, parent, region);
+  }
+  node_ = node;
+  prev_ = parent;
+  prof::t_state.current = node;
+  static auto& regions_entered = counter("prof.scopes");
+  regions_entered.inc();
+  start_ = Clock::now();
+  if (traced) {
+    span_.emplace(node->name, Tracer::current_context(), Tracer::instance(),
+                  start_);
+  }
+}
+
+double Region::stop() {
+  if (seconds_) return *seconds_;
+  const Clock::time_point end = Clock::now();
+  const auto elapsed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
+          .count());
+  seconds_ = std::chrono::duration<double>(end - start_).count();
+  auto* node = static_cast<prof::PathNode*>(node_);
+  // Single-writer accumulate: relaxed load+store, no RMW on the hot path.
+  node->calls.store(node->calls.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+  node->total_ns.store(
+      node->total_ns.load(std::memory_order_relaxed) + elapsed_ns,
+      std::memory_order_relaxed);
+  prof::t_state.current = static_cast<prof::PathNode*>(prev_);
+  if (span_) span_->close(end);
+  if (phase_ && !current_candidate().empty()) {
+    CandidateCosts::instance().record_phase(current_candidate(), *phase_,
+                                            *seconds_);
+  }
+  return *seconds_;
+}
+
+void Region::tag(std::string key, std::string value) {
+  span_.value().tag(std::move(key), std::move(value));
+}
+
+TraceContext Region::context() const { return span_.value().context(); }
+
+}  // namespace coda::obs

@@ -1,9 +1,11 @@
-// Always-on region profiler (observability layer, DESIGN.md §15): a
-// PROF_SCOPE("name") RAII region maintains a per-thread call-path stack
-// and accumulates call counts and total nanoseconds into a per-thread
-// arena — no locks on the hot path (two steady-clock reads plus a few
-// relaxed atomic operations per scope). Arenas are merged at export time
-// into
+// Always-on region profiler (observability layer, DESIGN.md §15) and the
+// one instrumentation primitive, obs::Region: a RAII interval that reads
+// the steady clock once when it opens and once when it closes, and feeds
+// that pair to the profiler path node, to a span of the same name when
+// traced (trace.h), to the ambient candidate's phase cost when it is a
+// fold phase (costs.h), and to the caller through stop(). The hot path
+// takes no lock: two clock reads plus a few relaxed atomic operations on
+// a per-thread call-path arena. Arenas are merged at export time into
 //   * folded-stack ("collapsed") text consumable by flamegraph.pl /
 //     speedscope — the `--profile-folded` bench flag and the
 //     CODA_PROFILE_DUMP environment variable both emit it;
@@ -15,10 +17,10 @@
 //     snapshots and the TelemetryCollector can render a fleet-wide
 //     hot-path table.
 //
-// Node attribution: a top-level scope keys its call tree by the thread's
+// Node attribution: a top-level region keys its call tree by the thread's
 // ambient obs::Tracer::current_node() (maintained by NodeScope /
 // ContextScope), so one process running many simulated clients keeps one
-// profile per client. Nested scopes inherit the root's node.
+// profile per client. Nested regions inherit the root's node.
 //
 // Determinism rules (DESIGN.md §15): regions wrap whole phases
 // (lookup-plus-maybe-compute), never cache-miss-gated branches, so the
@@ -30,40 +32,37 @@
 // owning thread (relaxed load+store, no RMW); exporters read them
 // relaxed. Tree edges are published via an atomic sibling list
 // (store-release by the owner, load-acquire by readers). reset() is only
-// safe while no scopes are live — the same contract as Tracer::clear().
+// safe while no regions are live — the same contract as Tracer::clear().
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/obs/costs.h"
+#include "src/obs/trace.h"
 
 namespace coda::obs::prof {
 
 /// Interned region identifier; stable for the process lifetime.
 using RegionId = std::uint32_t;
 
-/// Interns `name` (idempotent) and returns its id. Called once per
-/// PROF_SCOPE call site via a function-local static.
+/// Interns `name` (idempotent) and returns its id. Call sites reach it
+/// through region_id<"name">(), which interns once per name.
 RegionId intern(const std::string& name);
 
 /// The name behind an interned id (throws InvalidArgument on unknown id).
 const std::string& region_name(RegionId id);
 
-/// RAII region: pushes the region onto the calling thread's call path on
-/// construction, accumulates elapsed time and one call on destruction.
-/// Use the PROF_SCOPE macro rather than constructing Scope directly.
-class Scope {
- public:
-  explicit Scope(RegionId region);
-  ~Scope();
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  void* node_ = nullptr;  // PathNode* of this scope
-  void* prev_ = nullptr;  // PathNode* of the enclosing scope (may be null)
-  std::uint64_t start_ns_ = 0;
+/// A string literal usable as a template argument: region_id<"eval.run">.
+template <std::size_t N>
+struct RegionName {
+  constexpr RegionName(const char (&name)[N]) { std::copy_n(name, N, chars); }
+  char chars[N];
 };
 
 /// One merged root→leaf call path, aggregated over every thread arena.
@@ -125,21 +124,60 @@ bool empty();
 
 /// Zeroes every accumulator and the publish baselines; the interned
 /// regions and arena structure survive (references stay valid). Only safe
-/// while no Scope is live on another thread. obs::reset_all() calls this.
+/// while no Region is live on another thread. obs::reset_all() calls this.
 void reset();
 
 }  // namespace coda::obs::prof
 
-// Function-local static interning + RAII scope. Usage:
-//   void hot_path() {
-//     PROF_SCOPE("eval.fold");
-//     ...
-//   }
-#define CODA_PROF_CONCAT2(a, b) a##b
-#define CODA_PROF_CONCAT(a, b) CODA_PROF_CONCAT2(a, b)
-#define PROF_SCOPE(name)                                              \
-  static const ::coda::obs::prof::RegionId CODA_PROF_CONCAT(          \
-      coda_prof_region_, __LINE__) = ::coda::obs::prof::intern(name); \
-  const ::coda::obs::prof::Scope CODA_PROF_CONCAT(coda_prof_scope_,   \
-                                                  __LINE__)(          \
-      CODA_PROF_CONCAT(coda_prof_region_, __LINE__))
+namespace coda::obs {
+
+/// The interned id of region `Name`, held in a function-local static so
+/// the hot path never takes the intern mutex.
+template <prof::RegionName Name>
+prof::RegionId region_id() {
+  static const prof::RegionId id = prof::intern(Name.chars);
+  return id;
+}
+
+/// Selects the traced Region constructor.
+inline constexpr struct Traced {} kTraced;
+
+/// One timed interval on the calling thread (see the file comment), e.g.
+///   obs::Region fold(obs::region_id<"eval.fold">(), obs::kTraced);
+/// Open and close on the same thread, innermost first.
+class Region {
+ public:
+  /// Profiled only.
+  explicit Region(prof::RegionId region);
+  /// Profiled and traced under the ambient context.
+  Region(prof::RegionId region, Traced);
+  /// A fold phase: profiled as eval.fold.{prepare,fit,score} and charged
+  /// to current_candidate()'s phase cost (none when unattributed).
+  explicit Region(Phase phase);
+  ~Region() { stop(); }
+
+  Region(const Region&) = delete;
+  Region& operator=(const Region&) = delete;
+
+  /// Closes the interval (first call only) and returns its seconds.
+  double stop();
+
+  /// The span's tag() and context(), on a traced region only (throws
+  /// std::bad_optional_access otherwise).
+  void tag(std::string key, std::string value);
+  TraceContext context() const;
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  void open(prof::RegionId region, bool traced);
+
+  void* node_ = nullptr;  // prof PathNode* of this region
+  void* prev_ = nullptr;  // PathNode* of the enclosing region (may be null)
+  std::optional<ScopedSpan> span_;
+  std::optional<Phase> phase_;
+  Clock::time_point start_;
+  std::optional<double> seconds_;  // set once closed
+};
+
+}  // namespace coda::obs

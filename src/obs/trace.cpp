@@ -119,9 +119,7 @@ void Tracer::clear() {
 }
 
 std::uint64_t Tracer::current_span() { return t_current_span; }
-void Tracer::set_current_span(std::uint64_t id) { t_current_span = id; }
 std::uint64_t Tracer::current_trace() { return t_current_trace; }
-void Tracer::set_current_trace(std::uint64_t id) { t_current_trace = id; }
 const std::string& Tracer::current_node() { return t_current_node; }
 
 ScopedSpan::ScopedSpan(std::string name, Tracer& tracer)
@@ -129,7 +127,7 @@ ScopedSpan::ScopedSpan(std::string name, Tracer& tracer)
                  TraceContext{t_current_trace, t_current_span}, tracer) {}
 
 ScopedSpan::ScopedSpan(std::string name, const TraceContext& parent,
-                       Tracer& tracer)
+                       Tracer& tracer, Clock::time_point start)
     : tracer_(tracer),
       name_(std::move(name)),
       node_(t_current_node),
@@ -137,12 +135,18 @@ ScopedSpan::ScopedSpan(std::string name, const TraceContext& parent,
       parent_id_(parent.parent_span_id),
       trace_id_(parent.valid() ? parent.trace_id : tracer.next_trace_id()),
       prev_trace_(t_current_trace),
-      start_seconds_(tracer.now_seconds()) {
+      start_(start) {
   t_current_span = id_;
   t_current_trace = trace_id_;
 }
 
 ScopedSpan::~ScopedSpan() {
+  if (!closed_) close(Clock::now());
+}
+
+void ScopedSpan::close(Clock::time_point end) {
+  if (closed_) return;
+  closed_ = true;
   t_current_span = parent_id_;
   t_current_trace = prev_trace_;
   SpanRecord span;
@@ -153,8 +157,8 @@ ScopedSpan::~ScopedSpan() {
   span.node = std::move(node_);
   span.thread = this_thread_hash();
   span.clock = ClockDomain::kSteady;
-  span.start_seconds = start_seconds_;
-  span.duration_seconds = tracer_.now_seconds() - start_seconds_;
+  span.start_seconds = tracer_.seconds_at(start_);
+  span.duration_seconds = std::chrono::duration<double>(end - start_).count();
   span.tags = std::move(tags_);
   tracer_.record(std::move(span));
 }

@@ -1,5 +1,7 @@
 // Causal span tracer (observability layer): RAII ScopedSpan records name,
-// start/duration, and parent linkage. Within one thread, nesting is
+// start/duration, and parent linkage. Profiled sites open theirs through
+// obs::Region (profiler.h), sharing its clock pair and name; a bare
+// ScopedSpan marks a trace-only site. Within one thread, nesting is
 // automatic (a thread-local current-span id); across threads and across
 // the simulated network, a TraceContext {trace_id, parent_span_id} is
 // carried explicitly (thread-pool tasks via ContextScope, SimNet messages
@@ -79,9 +81,11 @@ class Tracer {
 
   /// Seconds since this tracer's epoch (steady clock).
   double now_seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
+    return seconds_at(std::chrono::steady_clock::now());
+  }
+  /// Seconds from this tracer's epoch to the steady-clock reading `t`.
+  double seconds_at(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double>(t - epoch_).count();
   }
 
   void record(SpanRecord span);
@@ -116,14 +120,11 @@ class Tracer {
   /// spans are live on other threads.
   void clear();
 
-  /// The calling thread's innermost live span id (0 = none). ScopedSpan
-  /// maintains this; exposed so manual instrumentation can interoperate.
+  /// The calling thread's innermost live span id (0 = none), trace id
+  /// (0 = none) and ambient context, maintained by ScopedSpan (opened
+  /// directly or by an obs::Region) and ContextScope.
   static std::uint64_t current_span();
-  static void set_current_span(std::uint64_t id);
-
-  /// The calling thread's trace id (0 = none) and ambient context.
   static std::uint64_t current_trace();
-  static void set_current_trace(std::uint64_t id);
   static TraceContext current_context() {
     return TraceContext{current_trace(), current_span()};
   }
@@ -146,15 +147,19 @@ class Tracer {
   std::map<std::uint64_t, Anchor> anchors_;
 };
 
-/// RAII span: opens on construction, records on destruction. Nested
-/// ScopedSpans on the same thread are parented automatically; the
-/// two-argument form parents under an explicit (possibly remote) context
-/// instead. A span opened with no ambient trace starts a new trace.
+/// RAII span: opens on construction, records on destruction (or at
+/// close()). Nested ScopedSpans on the same thread are parented
+/// automatically; the two-argument form parents under an explicit
+/// (possibly remote) context instead. A span opened with no ambient trace
+/// starts a new trace.
 class ScopedSpan {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit ScopedSpan(std::string name, Tracer& tracer = Tracer::instance());
   ScopedSpan(std::string name, const TraceContext& parent,
-             Tracer& tracer = Tracer::instance());
+             Tracer& tracer = Tracer::instance(),
+             Clock::time_point start = Clock::now());
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -172,6 +177,11 @@ class ScopedSpan {
   /// Overrides the node attribution (default: the thread's NodeScope).
   void set_node(std::string node);
 
+  /// Records the span as ending at the steady-clock reading `end` and
+  /// restores the enclosing context (first call only; the destructor then
+  /// records nothing).
+  void close(Clock::time_point end);
+
  private:
   Tracer& tracer_;
   std::string name_;
@@ -180,7 +190,8 @@ class ScopedSpan {
   std::uint64_t parent_id_;
   std::uint64_t trace_id_;
   std::uint64_t prev_trace_;
-  double start_seconds_;
+  Clock::time_point start_;
+  bool closed_ = false;
   std::vector<std::pair<std::string, std::string>> tags_;
 };
 

@@ -1,6 +1,6 @@
 #include "src/ts/forecast_pipeline.h"
 
-#include <cmath>
+#include <tuple>
 
 #include "src/obs/obs.h"
 #include "src/util/stopwatch.h"
@@ -190,16 +190,8 @@ CachedResult evaluate_forecast(const ForecastPipeline& pipeline,
     result.fold_scores.push_back(score(metric, truth, pred));
     fold_seconds.observe(fold_timer.elapsed_seconds());
   }
-  double sum = 0.0;
-  for (const double s : result.fold_scores) sum += s;
-  result.mean_score = sum / static_cast<double>(result.fold_scores.size());
-  double var = 0.0;
-  for (const double s : result.fold_scores) {
-    const double diff = s - result.mean_score;
-    var += diff * diff;
-  }
-  result.stddev =
-      std::sqrt(var / static_cast<double>(result.fold_scores.size()));
+  std::tie(result.mean_score, result.stddev) =
+      mean_stddev(result.fold_scores);
   return result;
 }
 

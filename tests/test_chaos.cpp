@@ -679,7 +679,9 @@ void exercise_fault_metrics() {
   {  // pool.tasks / timerwheel.scheduled+fired / prof.scopes: executor and
      // profiler instrumentation (ISSUE 9)
     ThreadPool pool(1);
-    pool.submit([] { PROF_SCOPE("golden.prof.region"); }).get();
+    pool.submit([] {
+      const obs::Region region(obs::region_id<"golden.prof.region">());
+    }).get();
     TimerWheel wheel;
     std::promise<void> fired;
     wheel.schedule(std::chrono::milliseconds(1),
@@ -719,7 +721,7 @@ TEST(Chaos, FaultMetricNamesMatchGoldenFile) {
   // Instance-scoped (`#`) and per-op (`eval.darr_degraded.<op>`) names
   // are excluded: their membership depends on how many instances/ops a
   // run touches. The per-region `prof.<region>.*` counters are likewise
-  // NOT a strict family — region names are defined at PROF_SCOPE call
+  // NOT a strict family — region names are defined at obs::Region call
   // sites and grow with instrumentation; only the fixed `prof.scopes`
   // counter is contracted.
   const std::vector<std::string> families = {"net.fault.", "retry.",

@@ -2,8 +2,9 @@
 // executor instrumentation that feeds it: call/path accounting across
 // threads, the pool.* / timerwheel.* metric families under a concurrent
 // submit storm (run under -DCODA_SANITIZE=thread via `ctest -L tsan`),
-// folded-export determinism, fleet hot-path reproducibility, and the
-// reset contract.
+// folded-export determinism, fleet hot-path reproducibility, the reset
+// contract, and obs::Region's one clock pair feeding its span and the
+// candidate phase costs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/evaluator.h"
 #include "src/darr/cooperative.h"
 #include "src/data/synthetic.h"
 #include "src/ml/decision_tree.h"
@@ -29,16 +31,16 @@
 namespace coda {
 namespace {
 
-// A fixed workload of nested scopes: 3 outer calls, 2 inner calls each,
+// A fixed workload of nested regions: 3 outer calls, 2 inner calls each,
 // plus one call of a sibling region. Deterministic by construction.
 void fixed_workload() {
   for (int outer = 0; outer < 3; ++outer) {
-    PROF_SCOPE("test.prof.outer");
+    const obs::Region outer_region(obs::region_id<"test.prof.outer">());
     for (int inner = 0; inner < 2; ++inner) {
-      PROF_SCOPE("test.prof.inner");
+      const obs::Region inner_region(obs::region_id<"test.prof.inner">());
     }
   }
-  PROF_SCOPE("test.prof.sibling");
+  const obs::Region sibling(obs::region_id<"test.prof.sibling">());
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> region_calls() {
@@ -122,7 +124,7 @@ TEST(Profiler, ConcurrentSubmitStormCountsEveryTask) {
       submitters.emplace_back([&, s] {
         for (std::size_t i = 0; i < kTasksPerSubmitter; ++i) {
           auto f = pool.submit([] {
-            PROF_SCOPE("test.prof.storm.task");
+            const obs::Region task(obs::region_id<"test.prof.storm.task">());
             volatile std::uint64_t sink = 0;
             for (int spin = 0; spin < 500; ++spin) {
               sink = sink + static_cast<std::uint64_t>(spin);
@@ -277,6 +279,87 @@ TEST(Profiler, ResetLeavesProfilerEmpty) {
   // And the regions keep working after the rewind.
   fixed_workload();
   EXPECT_FALSE(obs::prof::empty());
+}
+
+// A traced Region's span is the profile interval under the same name: one
+// clock pair, so for a single call the span duration is exactly the
+// region's total_ns.
+TEST(Region, TracedSpanSharesNameAndClockWithProfile) {
+  obs::reset_all();
+  double stopped = 0.0;
+  {
+    obs::Region region(obs::region_id<"test.region.traced">(), obs::kTraced);
+    region.tag("k", "v");
+    const obs::Region untraced(obs::region_id<"test.region.untraced">());
+    volatile std::uint64_t sink = 0;
+    for (int spin = 0; spin < 2000; ++spin) {
+      sink = sink + static_cast<std::uint64_t>(spin);
+    }
+    stopped = region.stop();
+    EXPECT_EQ(region.stop(), stopped);  // closes once
+  }
+
+  const auto spans = obs::Tracer::instance().snapshot();
+  ASSERT_EQ(spans.size(), 1u);  // the untraced region records no span
+  EXPECT_EQ(spans[0].name, "test.region.traced");
+  ASSERT_EQ(spans[0].tags.size(), 1u);
+  EXPECT_EQ(spans[0].tags[0].second, "v");
+
+  std::uint64_t total_ns = 0;
+  std::uint64_t calls = 0;
+  for (const auto& region : obs::prof::region_table()) {
+    if (region.name == "test.region.traced") {
+      total_ns = region.total_ns;
+      calls = region.calls;
+    }
+  }
+  ASSERT_EQ(calls, 1u);
+  ASSERT_GT(total_ns, 0u);
+  EXPECT_DOUBLE_EQ(spans[0].duration_seconds,
+                   static_cast<double>(total_ns) / 1e9);
+  EXPECT_EQ(spans[0].duration_seconds, stopped);
+}
+
+// Fold phases are timed once: summed over candidates, the charged
+// prepare/fit/score seconds equal the eval.fold.* profile totals.
+TEST(Region, CandidatePhaseCostsEqualFoldPhaseProfile) {
+  obs::reset_all();
+  TEGraph g;
+  std::vector<std::unique_ptr<Transformer>> scalers;
+  scalers.push_back(std::make_unique<StandardScaler>());
+  scalers.push_back(std::make_unique<MinMaxScaler>());
+  scalers.push_back(std::make_unique<NoOp>());
+  g.add_feature_scalers(std::move(scalers));
+  std::vector<std::unique_ptr<Estimator>> models;
+  models.push_back(std::make_unique<LinearRegression>());
+  models.push_back(std::make_unique<DecisionTreeRegressor>());
+  g.add_regression_models(std::move(models));
+  RegressionConfig cfg;
+  cfg.n_samples = 120;
+  cfg.n_features = 4;
+  cfg.n_informative = 3;
+  EvalOptions options;
+  options.threads = 2;
+  GraphEvaluator(options).evaluate(g, make_regression(cfg), KFold(3));
+
+  double charged[3] = {0.0, 0.0, 0.0};
+  for (const auto& [path, cost] : obs::CandidateCosts::instance().snapshot()) {
+    charged[0] += cost.prepare_seconds;
+    charged[1] += cost.fit_seconds;
+    charged[2] += cost.score_seconds;
+  }
+  const char* names[3] = {"eval.fold.prepare", "eval.fold.fit",
+                          "eval.fold.score"};
+  for (int phase = 0; phase < 3; ++phase) {
+    SCOPED_TRACE(names[phase]);
+    std::uint64_t total_ns = 0;
+    for (const auto& region : obs::prof::region_table()) {
+      if (region.name == names[phase]) total_ns = region.total_ns;
+    }
+    const double profiled = static_cast<double>(total_ns) * 1e-9;
+    ASSERT_GT(profiled, 0.0);
+    EXPECT_NEAR(charged[phase], profiled, 1e-12 * profiled);
+  }
 }
 
 }  // namespace

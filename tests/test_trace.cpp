@@ -2,7 +2,7 @@
 // search must yield one connected span tree per requesting client — client
 // compute, darr client ops, repository work, and every network transfer
 // (including retries across a healed partition) all reachable from that
-// client's "evaluator.evaluate" root span — and the Chrome trace-event
+// client's "eval.run" root span — and the Chrome trace-event
 // export of such a run must be valid JSON with one process per simulated
 // node.
 #include <gtest/gtest.h>
@@ -100,7 +100,7 @@ TEST(Trace, CooperativeSearchYieldsOneConnectedTreePerTrace) {
       if (s.parent_id != 0) continue;
       EXPECT_EQ(root_id, 0u) << "second root: " << s.name;
       root_id = id;
-      EXPECT_EQ(s.name, "evaluator.evaluate");
+      EXPECT_EQ(s.name, "eval.run");
     }
     ASSERT_NE(root_id, 0u);
     ++evaluate_roots;
