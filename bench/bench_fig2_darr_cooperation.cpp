@@ -131,23 +131,6 @@ void print_fig2() {
                 last_report.telemetry_divergence.c_str());
   }
 
-  // Declarative SLOs over the collected run (read back via --metrics-json
-  // and the coda-telemetry dashboard).
-  auto& slos = obs::global_slos();
-  slos.add("darr.repo.store count >= 16");
-  slos.add("darr.client.hits value >= 1");
-  slos.add("evaluator.claim.wait_seconds p99 < 30");
-  slos.bind_fleet(&fleet);
-  for (const auto& r : slos.evaluate()) {
-    std::printf("slo: %-44s %s (observed %s)\n", r.spec.text.c_str(),
-                !r.evaluable ? " n/a" : (r.pass ? "PASS" : "FAIL"),
-                coda::bench::fmt(r.observed, 4).c_str());
-  }
-  // The collector dies with this scope; results() stay readable for the
-  // --metrics-json export.
-  slos.bind_fleet(nullptr);
-  std::printf("\n");
-
   coda::bench::record_entry("fig2_candidates", 0.0,
                             static_cast<double>(last_report.total_candidates),
                             "candidates", /*exact=*/true);

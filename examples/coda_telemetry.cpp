@@ -1,9 +1,8 @@
 // Fleet telemetry dashboard (DESIGN.md §12): runs a cooperative graph
 // search, then renders what the run's telemetry collector gathered — the
 // per-node metric shards every client shipped over SimNet as snapshot
-// deltas — as the `coda_telemetry` text view: fleet aggregates, tracked
-// series with rates and top-k nodes, the fleet hot-path table, and the
-// declarative SLO verdicts, followed by the process-local `coda_top`
+// deltas — as the `coda_telemetry` text view: one line per reporting node
+// and the fleet hot-path table, followed by the process-local `coda_top`
 // profiler view (hottest regions by call count).
 //
 // Set CODA_METRICS_DUMP=1 to also emit the JSON snapshot (the same data
@@ -54,27 +53,32 @@ int main() {
   const auto report = darr::run_cooperative_search(
       search_graph(), data, KFold(4), Metric::kRmse, {.n_clients = 4});
 
-  // Declarative SLOs, checked against the *collected* telemetry (which
-  // rode the simulated network), not the process-wide registry. The
-  // executor-health checks (pool.*) fall back to the process-wide
-  // registry: pools are process-local, so their metrics never ride a
-  // node shard, but the SLO evaluator probes the registry for any metric
-  // absent from the fleet aggregate.
-  auto& slos = obs::global_slos();
-  slos.add("darr.repo.store count >= 9");
-  slos.add("darr.client.hits value >= 1");
-  slos.add("evaluator.claim.wait_seconds p99 < 30");
-  slos.add("pool.queue_wait_seconds p99 < 1");
-  slos.add("pool.utilization value <= 1");
-  slos.bind_fleet(report.telemetry.get());
-
-  std::printf("%s\n", obs::telemetry_dashboard(report.telemetry.get()).c_str());
+  const obs::TelemetryCollector& fleet = *report.telemetry;
+  const std::vector<std::string> nodes = fleet.nodes();
+  std::printf("== coda telemetry ==\nfleet: %zu node(s), %llu report(s) "
+              "ingested\n",
+              nodes.size(),
+              static_cast<unsigned long long>(fleet.reports_ingested()));
+  for (const std::string& node : nodes) {
+    const obs::MetricsSnapshot snap = fleet.node_snapshot(node);
+    std::printf("  %s: counters=%zu gauges=%zu histograms=%zu\n",
+                node.c_str(), snap.counters.size(), snap.gauges.size(),
+                snap.histograms.size());
+  }
+  // Fleet hot-path table: the published prof.* counters summed over every
+  // node, in the profiler's deterministic (calls desc, region asc) order.
+  std::printf("== hot paths (fleet) ==\n");
+  for (const auto& row : fleet.hot_paths(12)) {
+    std::printf("  %s: calls=%llu self=%.6fs\n", row.region.c_str(),
+                static_cast<unsigned long long>(row.calls), row.self_seconds);
+  }
+  std::printf("\n");
 
   // coda_top: the process-local profiler view — hottest regions by call
   // count (deterministic for a fixed workload), with self/total time and
   // derived kernel throughput. The fleet-wide counterpart is the
-  // "hot paths (fleet)" table in the dashboard above, reconstructed at
-  // the collector from published prof.* counters.
+  // "hot paths (fleet)" table above, reconstructed at the collector from
+  // published prof.* counters.
   std::printf("%s\n", obs::prof::report().c_str());
 
   if (report.telemetry_divergence.empty()) {
@@ -85,7 +89,6 @@ int main() {
                 report.telemetry_divergence.c_str());
   }
 
-  slos.bind_fleet(nullptr);
   coda::obs::dump_if_env();
   return 0;
 }

@@ -6,7 +6,6 @@
 
 #include "src/dist/telemetry.h"
 #include "src/obs/profiler.h"
-#include "src/obs/timeseries.h"
 #include "src/obs/trace.h"
 #include "src/util/stopwatch.h"
 
@@ -34,11 +33,6 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
   std::shared_ptr<obs::TelemetryCollector> collector;
   if (options.telemetry) {
     collector = std::make_shared<obs::TelemetryCollector>();
-    for (const char* metric :
-         {"evaluator.candidate.local", "evaluator.candidate.cached",
-          "darr.client.lookups", "darr.client.hits", "darr.repo.store"}) {
-      collector->track(metric);
-    }
   }
 
   std::vector<std::unique_ptr<ShardedDarrService>> services;

@@ -59,8 +59,9 @@ struct CooperativeReport {
   DarrCluster::SyncStats sync_stats;  ///< zeros when replication == 1
   /// Fleet telemetry collected during the run: every client (and the
   /// repository tier) shipped its MetricScope shard to a dedicated
-  /// "telemetry" SimNet node as snapshot deltas; per-node aggregates and
-  /// tracked series live here. Null when FleetOptions::telemetry is off.
+  /// "telemetry" SimNet node as snapshot deltas; per-node snapshots and
+  /// the fleet aggregate live here. Null when FleetOptions::telemetry is
+  /// off.
   std::shared_ptr<obs::TelemetryCollector> telemetry;
   /// Result of comparing the collector's fleet aggregate against the
   /// process-wide registry after the final flush — empty on a fault-free

@@ -65,15 +65,22 @@ const HomeDataStore::ObjectState& HomeDataStore::state_of(
 }
 
 void HomeDataStore::put(const std::string& key, Bytes value) {
+  put_version(key, std::move(value), version(key) + 1);
+}
+
+void HomeDataStore::put_version(const std::string& key, Bytes value,
+                                std::uint64_t version) {
   require(!key.empty(), "HomeDataStore: empty key");
-  family_.put.inc();
   ObjectState& state = objects_[key];
+  require(version > state.version,
+          "HomeDataStore: version must be above the current version");
+  family_.put.inc();
   const Bytes previous = state.current;
 
   if (state.version > 0) {
     state.recent[state.version] = state.current;
   }
-  ++state.version;
+  state.version = version;
   state.current = std::move(value);
 
   // Trim retained history, then refresh the precomputed deltas

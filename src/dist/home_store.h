@@ -80,6 +80,12 @@ class HomeDataStore {
   /// pushes to live lease holders.
   void put(const std::string& key, Bytes value);
 
+  /// Stores `value` as version `version` of `key`, which must be above the
+  /// current version: how a replica applies a write numbered by the site it
+  /// was synced from, so one version number names one value on every site.
+  /// Retained history, deltas and pushes are refreshed as in put().
+  void put_version(const std::string& key, Bytes value, std::uint64_t version);
+
   /// Current version of `key`; 0 when absent.
   std::uint64_t version(const std::string& key) const;
 

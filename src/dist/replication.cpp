@@ -1,7 +1,5 @@
 #include "src/dist/replication.h"
 
-#include <algorithm>
-
 #include "src/dist/retry.h"
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
@@ -46,7 +44,6 @@ ReplicatedStore::ReplicatedStore(SimNet* net, std::vector<NodeId> nodes,
     stores_.push_back(
         std::make_unique<HomeDataStore>(net, node, config_.store));
   }
-  healthy_.assign(nodes_.size(), true);
 }
 
 HomeDataStore& ReplicatedStore::site(std::size_t i) {
@@ -55,91 +52,87 @@ HomeDataStore& ReplicatedStore::site(std::size_t i) {
 }
 
 void ReplicatedStore::put(const std::string& key, Bytes value) {
-  if (std::find(keys_.begin(), keys_.end(), key) == keys_.end()) {
-    keys_.push_back(key);
-  }
-  // The primary applies the write locally; replicas receive it over the
-  // network, as a delta against their current version when worthwhile.
-  const Bytes previous = stores_[0]->version(key) > 0
-                             ? stores_[0]->value(key)
-                             : Bytes{};
-  stores_[0]->put(key, value);
+  // The serving site applies the write locally under the key's next
+  // version; the others receive it over the network, as a delta when they
+  // hold the serving site's previous version (the same value, since one
+  // version names one value on every site).
+  const std::size_t source = serving_site(key);
+  HomeDataStore& primary = *stores_[source];
+  const std::uint64_t previous_version = primary.version(key);
+  const Bytes previous =
+      previous_version > 0 ? primary.value(key) : Bytes{};
+  primary.put_version(key, value, ++issued_[key]);
   obs::ScopedSpan span("replication.put");
-  span.set_node(net_->node_name(nodes_[0]));
+  span.set_node(net_->node_name(nodes_[source]));
   span.tag("key", key);
-  for (std::size_t i = 1; i < stores_.size(); ++i) {
-    if (!healthy_[i]) continue;
-    HomeDataStore& replica = *stores_[i];
-    // Sync by delta against the replica's current version when worthwhile,
-    // full value otherwise. A failed sync (sync_replica counts it in the
-    // replication.failed_syncs family) leaves the replica on its old
-    // version; it catches up on the next put() or an explicit resync().
+  for (std::size_t i = 0; i < stores_.size(); ++i) {
+    if (i == source) continue;
     std::size_t sync_bytes = value.size();
     bool delta = false;
-    if (config_.delta_sync && !previous.empty() &&
-        replica.version(key) == stores_[0]->version(key) - 1) {
+    if (config_.delta_sync && previous_version > 0 &&
+        stores_[i]->version(key) == previous_version) {
       const Delta d = compute_delta(previous, value, config_.store.delta);
       if (d.encoded_size() < value.size()) {
         sync_bytes = d.encoded_size();
         delta = true;
       }
     }
-    if (!sync_replica(*net_, nodes_[0], nodes_[i], sync_bytes,
-                      config_.store.retry, "replication.sync", key)) {
-      ++sync_stats_.failed_syncs;
-      continue;
+    if (sync_site(source, i, key, sync_bytes, "replication.sync")) {
+      ++(delta ? sync_stats_.delta_syncs : sync_stats_.full_syncs);
     }
-    sync_stats_.bytes_shipped += sync_bytes;
-    ++(delta ? sync_stats_.delta_syncs : sync_stats_.full_syncs);
-    replica.put(key, value);
   }
-}
-
-void ReplicatedStore::fail_site(std::size_t i) {
-  require(i < healthy_.size(), "ReplicatedStore: site index out of range");
-  healthy_[i] = false;
-}
-
-void ReplicatedStore::recover_site(std::size_t i) {
-  require(i < healthy_.size(), "ReplicatedStore: site index out of range");
-  healthy_[i] = true;
 }
 
 void ReplicatedStore::resync(std::size_t i) {
   require(i < stores_.size(), "ReplicatedStore: site index out of range");
-  require(healthy_[i], "ReplicatedStore: resync of a failed site");
-  const std::size_t source = serving_site();
-  for (const auto& key : keys_) {
-    if (stores_[source]->version(key) == 0) continue;
-    const Bytes& value = stores_[source]->value(key);
-    if (stores_[i]->version(key) == stores_[source]->version(key)) continue;
-    transfer_with_retry(*net_, nodes_[source], nodes_[i], value.size(),
-                        config_.store.retry, "replication.resync");
-    sync_stats_.bytes_shipped += value.size();
-    ++sync_stats_.full_syncs;
-    // Bring the replica's version in line by replaying the value until the
-    // version numbers match (versions are per-store counters).
-    while (stores_[i]->version(key) < stores_[source]->version(key)) {
-      stores_[i]->put(key, value);
+  require(net_->node_up(nodes_[i]),
+          "ReplicatedStore: resync of a site inside a crash window");
+  for (const auto& entry : issued_) {
+    const std::string& key = entry.first;
+    const std::size_t source = serving_site(key);
+    const HomeDataStore& from = *stores_[source];
+    if (stores_[i]->version(key) >= from.version(key)) continue;
+    if (sync_site(source, i, key, from.value(key).size(),
+                  "replication.resync")) {
+      ++sync_stats_.full_syncs;
     }
   }
 }
 
-bool ReplicatedStore::is_healthy(std::size_t i) const {
-  require(i < healthy_.size(), "ReplicatedStore: site index out of range");
-  return healthy_[i];
+bool ReplicatedStore::sync_site(std::size_t source, std::size_t i,
+                                const std::string& key, std::size_t bytes,
+                                const std::string& op) {
+  // A failed sync (a replica inside a crash window fails at once) leaves
+  // the replica on its old version until a later put() or resync().
+  if (!sync_replica(*net_, nodes_[source], nodes_[i], bytes,
+                    config_.store.retry, op, key)) {
+    ++sync_stats_.failed_syncs;
+    return false;
+  }
+  sync_stats_.bytes_shipped += bytes;
+  const HomeDataStore& from = *stores_[source];
+  stores_[i]->put_version(key, from.value(key), from.version(key));
+  return true;
 }
 
-std::size_t ReplicatedStore::serving_site() const {
-  for (std::size_t i = 0; i < healthy_.size(); ++i) {
-    if (healthy_[i]) return i;
+std::size_t ReplicatedStore::serving_site(const std::string& key) const {
+  std::size_t best = nodes_.size();
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (!net_->node_up(nodes_[i])) continue;
+    if (best == nodes_.size() ||
+        stores_[i]->version(key) > stores_[best]->version(key)) {
+      best = i;
+    }
   }
-  throw NotFound("ReplicatedStore: every site is down");
+  if (best == nodes_.size()) {
+    throw NotFound("ReplicatedStore: every site is down");
+  }
+  return best;
 }
 
 HomeDataStore::FetchResult ReplicatedStore::fetch(
     const std::string& key, NodeId requester, std::uint64_t have_version) {
-  return stores_[serving_site()]->fetch(key, requester, have_version);
+  return stores_[serving_site(key)]->fetch(key, requester, have_version);
 }
 
 }  // namespace coda::dist

@@ -3,12 +3,18 @@
 // case one site fails").
 //
 // A ReplicatedStore fronts one primary HomeDataStore plus N replicas on
-// distinct nodes. put() writes the primary and synchronizes replicas by
-// delta (cheap) or full value; clients fetch through the replica set,
-// which routes to the nearest healthy site and fails over when a site is
-// marked down.
+// distinct nodes. A site fails the way every SimNet node does: inside a
+// crash window (SimNet::crash_node). Each write gets the next version
+// number of its key from the group, so one version names one value on
+// every site. put() writes through the key's serving site — the freshest
+// site outside a crash window, so a replica is promoted while the primary
+// is down and keeps serving until the primary has caught up — and
+// synchronizes the others by delta (cheap) or full value; clients fetch
+// from the serving site, so a read never returns an older version than
+// an earlier read while a site holding the newer one is up.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -38,8 +44,9 @@ class ReplicatedStore {
   struct SyncStats {
     std::size_t full_syncs = 0;
     std::size_t delta_syncs = 0;
-    /// Replica syncs abandoned after the retry budget (the replica keeps
-    /// its old version and catches up on the next put() or resync()).
+    /// Replica syncs skipped (replica inside a crash window) or abandoned
+    /// after the retry budget (the replica keeps its old version and
+    /// catches up on the next put() or resync()).
     std::size_t failed_syncs = 0;
     std::size_t bytes_shipped = 0;
   };
@@ -51,28 +58,27 @@ class ReplicatedStore {
   std::size_t n_sites() const { return stores_.size(); }
   HomeDataStore& site(std::size_t i);
 
-  /// Writes through the primary and synchronizes every healthy replica.
+  /// Writes the next version of `key` through its serving site and
+  /// synchronizes every other site to it; a site inside a crash window
+  /// misses the write (counted in failed_syncs) and catches up on a later
+  /// put() or resync(). Throws NotFound when every site is down.
   void put(const std::string& key, Bytes value);
 
-  /// Marks a site failed (disaster); it stops serving and syncing.
-  void fail_site(std::size_t i);
-
-  /// Brings a failed site back; it catches up on the next put() or can be
-  /// caught up immediately with resync().
-  void recover_site(std::size_t i);
-
-  /// Ships current values of every key to a (recovered) site.
+  /// Brings site `i` (one whose crash window has ended) to the serving
+  /// site's version of every key it lags on; a sync that fails is counted
+  /// in failed_syncs and left for a later put() or resync().
   void resync(std::size_t i);
 
-  bool is_healthy(std::size_t i) const;
-
-  /// Serves a fetch from the first healthy site (primary preferred). Throws
-  /// NotFound when every site is down.
+  /// Serves a fetch of `key` from its serving site. Throws NotFound when
+  /// every site is down.
   HomeDataStore::FetchResult fetch(const std::string& key, NodeId requester,
                                    std::uint64_t have_version);
 
-  /// Index of the site fetch() would use now; throws NotFound if none.
-  std::size_t serving_site() const;
+  /// Index of the site serving `key`: the site outside a crash window that
+  /// holds its highest version, ties going to the lowest index (so the
+  /// primary when it is up and current). Throws NotFound if every site is
+  /// down.
+  std::size_t serving_site(const std::string& key) const;
 
   const SyncStats& sync_stats() const { return sync_stats_; }
 
@@ -81,8 +87,14 @@ class ReplicatedStore {
   Config config_;
   std::vector<NodeId> nodes_;
   std::vector<std::unique_ptr<HomeDataStore>> stores_;
-  std::vector<bool> healthy_;
-  std::vector<std::string> keys_;  // every key ever written (for resync)
+  /// Ships `bytes` from site `source` to site `i` and applies the source's
+  /// value and version of `key` there; counts a failed sync and returns
+  /// false when the transfer fails.
+  bool sync_site(std::size_t source, std::size_t i, const std::string& key,
+                 std::size_t bytes, const std::string& op);
+
+  /// Last version issued per key: every key ever written (for resync).
+  std::map<std::string, std::uint64_t> issued_;
   SyncStats sync_stats_;
 };
 

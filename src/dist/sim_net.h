@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
 
@@ -39,8 +38,7 @@ struct MessageHeader {
 };
 
 /// Traffic counters for one directed node pair (and, via total(), for a
-/// whole fabric — the aggregate is backed by obs::MetricsRegistry counters
-/// named `simnet.net#<n>.*`; this struct is a point-in-time view).
+/// whole fabric).
 struct LinkStats {
   std::size_t messages = 0;
   std::size_t bytes = 0;
@@ -179,11 +177,7 @@ class SimNet {
   std::vector<Window> partitions_;
   std::vector<Window> crashes_;
   FaultStats fault_stats_;
-  // Registry-backed fabric totals (`simnet.net#<n>.*`); per-link detail
-  // stays in links_.
-  obs::Counter* total_messages_ = nullptr;
-  obs::Counter* total_bytes_ = nullptr;
-  obs::Gauge* total_seconds_ = nullptr;
+  LinkStats total_;  // fabric totals; per-link detail stays in links_
 };
 
 }  // namespace coda::dist

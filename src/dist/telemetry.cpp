@@ -52,7 +52,7 @@ bool TelemetryReporter::flush() {
 
   // Delivered: the collector decodes the wire bytes (round-tripping the
   // serializer keeps the simulated path honest) and the base advances.
-  sink_->ingest(report_as_, net_->now(), obs::MetricsSnapshot::deserialize(wire));
+  sink_->ingest(report_as_, obs::MetricsSnapshot::deserialize(wire));
   acked_ = current;
   ++sent_;
   bytes_sent_ += wire.size();

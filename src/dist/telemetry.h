@@ -10,7 +10,7 @@
 // the next flush re-ships the same increments merged with newer ones —
 // aggregates at the collector can lag but never corrupt (counters and
 // histogram buckets travel as exact integer increments; see
-// src/obs/timeseries.h for the delta semantics).
+// src/obs/snapshot.h for the delta semantics).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,7 @@
 #include "src/dist/retry.h"
 #include "src/dist/sim_net.h"
 #include "src/obs/collector.h"
-#include "src/obs/timeseries.h"
+#include "src/obs/snapshot.h"
 #include "src/util/retry.h"
 
 namespace coda::dist {

@@ -9,33 +9,13 @@
 
 namespace coda::obs {
 
-TelemetryCollector::TelemetryCollector(std::size_t series_capacity)
-    : series_capacity_(series_capacity) {
-  require(series_capacity_ > 0,
-          "TelemetryCollector: series capacity must be positive");
-}
-
-void TelemetryCollector::track(const std::string& metric) {
-  require(!metric.empty(), "TelemetryCollector: metric name must be non-empty");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (std::find(tracked_.begin(), tracked_.end(), metric) == tracked_.end()) {
-    tracked_.push_back(metric);
-  }
-}
-
-std::vector<std::string> TelemetryCollector::tracked() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tracked_;
-}
-
-void TelemetryCollector::ingest(const std::string& node, double t,
+void TelemetryCollector::ingest(const std::string& node,
                                 const MetricsSnapshot& delta) {
   require(!node.empty(), "TelemetryCollector: node name must be non-empty");
   {
     std::lock_guard<std::mutex> lock(mutex_);
     apply_snapshot_delta(per_node_[node], delta);
     ++ingested_;
-    sample_tracked_locked(node, t);
   }
   static auto& ingested = counter("telemetry.reports.ingested");
   ingested.inc();
@@ -68,39 +48,6 @@ MetricsSnapshot TelemetryCollector::fleet() const {
   return out;
 }
 
-std::optional<TimeSeries> TelemetryCollector::series(
-    const std::string& node, const std::string& metric) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = series_.find({node, metric});
-  if (it == series_.end()) return std::nullopt;
-  return it->second;
-}
-
-double TelemetryCollector::rate(const std::string& node,
-                                const std::string& metric) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = series_.find({node, metric});
-  return it == series_.end() ? 0.0 : it->second.rate_per_second();
-}
-
-std::vector<std::pair<std::string, double>> TelemetryCollector::top_k(
-    const std::string& metric, std::size_t k) const {
-  std::vector<std::pair<std::string, double>> ranked;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ranked.reserve(per_node_.size());
-    for (const auto& [name, snap] : per_node_) {
-      ranked.emplace_back(name, probe(snap, metric).value_or(0.0));
-    }
-  }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;  // stable: name ties keep
-                   });                            // map (sorted) order
-  if (ranked.size() > k) ranked.resize(k);
-  return ranked;
-}
-
 std::vector<TelemetryCollector::HotPath> TelemetryCollector::hot_paths(
     std::size_t k) const {
   const MetricsSnapshot fleet_snapshot = fleet();
@@ -131,57 +78,6 @@ std::vector<TelemetryCollector::HotPath> TelemetryCollector::hot_paths(
   });
   if (out.size() > k) out.resize(k);
   return out;
-}
-
-std::optional<double> TelemetryCollector::probe(const MetricsSnapshot& snap,
-                                                const std::string& metric) {
-  if (const auto c = snap.counters.find(metric); c != snap.counters.end()) {
-    return static_cast<double>(c->second);
-  }
-  if (const auto g = snap.gauges.find(metric); g != snap.gauges.end()) {
-    return g->second;
-  }
-  if (const auto h = snap.histograms.find(metric);
-      h != snap.histograms.end()) {
-    return static_cast<double>(h->second.count);
-  }
-  return std::nullopt;
-}
-
-void TelemetryCollector::sample_tracked_locked(const std::string& node,
-                                               double t) {
-  if (tracked_.empty()) return;
-  const MetricsSnapshot& mine = per_node_[node];
-  for (const std::string& metric : tracked_) {
-    const auto node_value = probe(mine, metric);
-    if (node_value.has_value()) {
-      auto it = series_.find({node, metric});
-      if (it == series_.end()) {
-        it = series_.emplace(std::make_pair(node, metric),
-                             TimeSeries(series_capacity_))
-                 .first;
-      }
-      it->second.sample(t, *node_value);
-    }
-    // Fleet-wide series: the sum over all nodes at this instant.
-    double fleet_value = 0.0;
-    bool any = false;
-    for (const auto& [name, snap] : per_node_) {
-      if (const auto v = probe(snap, metric); v.has_value()) {
-        fleet_value += *v;
-        any = true;
-      }
-    }
-    if (any) {
-      auto it = series_.find({std::string(), metric});
-      if (it == series_.end()) {
-        it = series_.emplace(std::make_pair(std::string(), metric),
-                             TimeSeries(series_capacity_))
-                 .first;
-      }
-      it->second.sample(t, fleet_value);
-    }
-  }
 }
 
 std::string TelemetryCollector::describe_divergence(
@@ -246,7 +142,6 @@ std::string TelemetryCollector::describe_divergence(
 void TelemetryCollector::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   per_node_.clear();
-  series_.clear();
   ingested_ = 0;
 }
 

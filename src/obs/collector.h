@@ -2,8 +2,8 @@
 // the "telemetry" SimNet node. Nodes ship MetricsSnapshot *deltas*
 // (src/dist/telemetry.h carries them over the simulated network, subject
 // to the fault model); the collector folds each delta into a per-node
-// accumulated snapshot and answers fleet queries — merged aggregates,
-// per-node/per-metric time series and rates, and top-k-nodes-by-metric.
+// accumulated snapshot and answers fleet queries — per-node snapshots,
+// the merged fleet aggregate and the fleet hot-path table.
 //
 // Thread safety: every method takes the collector's mutex. Ingest happens
 // from client worker threads; queries typically run after a bench/test
@@ -13,31 +13,19 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/obs/timeseries.h"
+#include "src/obs/snapshot.h"
 
 namespace coda::obs {
 
 class TelemetryCollector {
  public:
-  /// `series_capacity` bounds every per-metric ring (TimeSeries).
-  explicit TelemetryCollector(std::size_t series_capacity = 256);
-
-  /// Registers a metric whose absolute value is sampled into a time
-  /// series (per node, and fleet-wide) on every ingest that touches the
-  /// reporting node. Counters sample their value; gauges likewise;
-  /// histograms sample their count.
-  void track(const std::string& metric);
-  std::vector<std::string> tracked() const;
-
   /// Folds one report into `node`'s accumulated snapshot (see
-  /// apply_snapshot_delta for the delta semantics) and samples tracked
-  /// series at logical time `t`. Increments `telemetry.reports.ingested`.
-  void ingest(const std::string& node, double t, const MetricsSnapshot& delta);
+  /// apply_snapshot_delta for the delta semantics). Increments
+  /// `telemetry.reports.ingested`.
+  void ingest(const std::string& node, const MetricsSnapshot& delta);
 
   /// Nodes that have reported at least once, sorted.
   std::vector<std::string> nodes() const;
@@ -48,19 +36,6 @@ class TelemetryCollector {
   MetricsSnapshot node_snapshot(const std::string& node) const;
   /// Merge of every node's snapshot — the fleet aggregate.
   MetricsSnapshot fleet() const;
-
-  /// Copy of a tracked series ("" node = the fleet-wide series);
-  /// std::nullopt when the metric is untracked or the node unknown.
-  std::optional<TimeSeries> series(const std::string& node,
-                                   const std::string& metric) const;
-  /// rate_per_second() of the same series (0 when absent).
-  double rate(const std::string& node, const std::string& metric) const;
-
-  /// The k nodes with the largest value of `metric`, descending (ties
-  /// break by node name). Probes counters, then gauges, then histogram
-  /// counts; nodes without the metric rank as 0.
-  std::vector<std::pair<std::string, double>> top_k(const std::string& metric,
-                                                    std::size_t k) const;
 
   /// One row of the fleet hot-path table: a profiled region summed over
   /// every reporting node, reconstructed from the published
@@ -85,22 +60,12 @@ class TelemetryCollector {
   std::string describe_divergence(const MetricsSnapshot& expected,
                                   double epsilon = 1e-9) const;
 
-  /// Drops all accumulated state and series (tracked names survive).
+  /// Drops all accumulated state.
   void clear();
 
  private:
-  /// The sampled value of `metric` in `snap` (counter, gauge, or
-  /// histogram count), if present.
-  static std::optional<double> probe(const MetricsSnapshot& snap,
-                                     const std::string& metric);
-  void sample_tracked_locked(const std::string& node, double t);
-
   mutable std::mutex mutex_;
-  std::size_t series_capacity_;
-  std::vector<std::string> tracked_;
   std::map<std::string, MetricsSnapshot> per_node_;
-  // (node, metric) -> series; node "" holds the fleet-wide series.
-  std::map<std::pair<std::string, std::string>, TimeSeries> series_;
   std::uint64_t ingested_ = 0;
 };
 

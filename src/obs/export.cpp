@@ -156,22 +156,7 @@ std::string snapshot_json(std::size_t max_spans) {
     }
     out << "}}";
   }
-  // Last SLO evaluation (callers run global_slos().evaluate() themselves:
-  // rendering a snapshot must not mutate the metrics it snapshots).
-  out << "},\"slo\":[";
-  first = true;
-  for (const auto& r : global_slos().results()) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"check\":\"" << json_escape(r.spec.text) << "\",\"observed\":";
-    if (r.evaluable) {
-      out << json_number(r.observed);
-    } else {
-      out << "null";
-    }
-    out << ",\"pass\":" << (r.evaluable && r.pass ? "true" : "false") << '}';
-  }
-  out << "]}";
+  out << "}}";
   return out.str();
 }
 
@@ -248,12 +233,10 @@ void trace_dump_if_env() {
 void reset_all() {
   MetricsRegistry::instance().reset();
   MetricScope::reset_values();
-  reset_instance_ids();
   Tracer::instance().clear();
   EventLog::instance().clear();
   CandidateCosts::instance().reset();
   prof::reset();
-  global_slos().clear();
 }
 
 }  // namespace coda::obs

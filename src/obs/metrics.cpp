@@ -51,9 +51,9 @@ double quantile_from_buckets(const std::vector<double>& bounds,
 }
 
 double Histogram::quantile(double q) const {
-  // Empty histogram: defined to return 0.0, explicitly, not NaN — an SLO
-  // check like "p99 < 0.1" must stay monotone-safe before the first
-  // observation, and NaN comparisons silently evaluate false. Pinned by
+  // Empty histogram: defined to return 0.0, explicitly, not NaN — a
+  // threshold check like "p99 < 0.1" must stay monotone-safe before the
+  // first observation, and NaN comparisons silently evaluate false. Pinned by
   // Histogram.EmptyQuantileIsZero.
   if (count() == 0) return 0.0;
   // Snapshot the bucket counts once so the rank and the cumulative walk
@@ -290,32 +290,6 @@ void observe_scoped(const std::string& name, double value,
   if (t_current_scope != nullptr) {
     t_current_scope->histogram(name, std::move(bounds)).observe(value);
   }
-}
-
-namespace {
-
-struct InstanceIdTable {
-  std::mutex mutex;
-  std::map<std::string, std::uint64_t> next;
-};
-
-InstanceIdTable& instance_ids() {
-  static InstanceIdTable table;
-  return table;
-}
-
-}  // namespace
-
-std::uint64_t next_instance_id(const std::string& family) {
-  auto& table = instance_ids();
-  std::lock_guard<std::mutex> lock(table.mutex);
-  return table.next[family]++;
-}
-
-void reset_instance_ids() {
-  auto& table = instance_ids();
-  std::lock_guard<std::mutex> lock(table.mutex);
-  table.next.clear();
 }
 
 }  // namespace coda::obs

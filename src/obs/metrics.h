@@ -7,9 +7,10 @@
 // each takes the registry mutex (and the ambient shard's, if installed).
 //
 // Naming convention: dot-separated families, label as the last segment —
-// e.g. `darr.lookup.hit` / `darr.lookup.miss`. SimNet's per-instance view
-// uses an instance segment: `simnet.net#3.bytes`; DarrRepository,
-// DarrClient and RemoteModelService keep theirs on TalliedCounter handles.
+// e.g. `darr.lookup.hit` / `darr.lookup.miss`. Registry names carry no
+// instance segment: per-object views (DarrRepository, DarrClient,
+// RemoteModelService) keep theirs on TalliedCounter handles, and SimNet
+// keeps its fabric totals as plain members.
 //
 // Fleet telemetry (DESIGN.md §12): in addition to the process-wide
 // registry, every simulated node can own a MetricScope — a registry shard
@@ -92,8 +93,8 @@ class Histogram {
   /// (bucket 0 interpolates from 0); ranks landing in the +inf overflow
   /// bucket clamp to the largest finite bound.
   /// An EMPTY histogram (count() == 0) returns 0.0 by contract — never
-  /// NaN, so threshold comparisons (SLO specs) stay well-defined before
-  /// the first observation. Guarded explicitly and pinned by a test.
+  /// NaN, so threshold comparisons stay well-defined before the first
+  /// observation. Guarded explicitly and pinned by a test.
   /// A live snapshot under concurrent observes is approximate.
   double quantile(double q) const;
 
@@ -142,8 +143,8 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, const Histogram*>> histogram_views()
       const;
 
-  // Find-without-create lookups (the SLO evaluator probes names a spec
-  // references; registering them as a side effect would pollute exports).
+  // Find-without-create lookups (readers that probe a name must not
+  // register it as a side effect: that would pollute exports).
   std::optional<std::uint64_t> find_counter(const std::string& name) const;
   std::optional<double> find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
@@ -276,13 +277,6 @@ void count_scoped(const std::string& name, std::uint64_t n = 1);
 /// histogram, exactly like obs::histogram().
 void observe_scoped(const std::string& name, double value,
                     std::vector<double> bounds = {});
-
-/// Process-wide source of per-instance metric ids: "simnet.net#<n>." style
-/// prefixes mint one id per `family`. reset_instance_ids() (called by
-/// obs::reset_all()) rewinds every family to 0 so seed-deterministic
-/// back-to-back runs register identical instance names.
-std::uint64_t next_instance_id(const std::string& family);
-void reset_instance_ids();
 
 /// Shared quantile estimator over an exported bucket vector (`buckets` has
 /// one +inf overflow slot past `bounds`); the logic behind

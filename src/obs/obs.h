@@ -12,8 +12,7 @@
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/slo.h"
-#include "src/obs/timeseries.h"
+#include "src/obs/snapshot.h"
 #include "src/obs/trace.h"
 
 namespace coda::obs {
@@ -54,12 +53,11 @@ void dump_if_env();
 void trace_dump_if_env();
 
 /// Zeroes every metric (the process-wide registry AND every per-node
-/// MetricScope shard), rewinds the per-family instance-id sources, clears
-/// the tracer (spans, anchors, and span/trace id sources), the flight
-/// recorder, the candidate cost table, the region profiler
-/// (prof::reset()), and the global SLO registry — full test isolation
-/// between seed-deterministic runs: two identical runs bracketed by
-/// reset_all() produce identical metrics output.
+/// MetricScope shard), clears the tracer (spans, anchors, and span/trace
+/// id sources), the flight recorder, the candidate cost table and the
+/// region profiler (prof::reset()) — full test isolation between
+/// seed-deterministic runs: two identical runs bracketed by reset_all()
+/// produce identical metrics output.
 void reset_all();
 
 }  // namespace coda::obs

@@ -535,37 +535,20 @@ TEST(Chaos, RemoteServiceStatsAreRaceFree) {
   EXPECT_GT(stats.bytes_out, 0u);
 }
 
-// SLO checks evaluate on a chaos run (DESIGN.md §12): after a lossy
-// cooperative search, declarative thresholds over the fault/retry and
-// evaluator families are checkable against the registry the run wrote.
-TEST(Chaos, SloChecksEvaluateOnAChaosRun) {
+// A lossy cooperative search: faults fire and every one is absorbed by a
+// retry, none exhausts its budget.
+TEST(Chaos, DropsAreAbsorbedByRetries) {
   obs::reset_all();
-  const Dataset data = tabular_dataset();
   ChaosSchedule schedule;
   schedule.seed = 21;
   schedule.drop_probability = 0.3;
   SCOPED_TRACE(schedule.describe());
   const FlightRecorderOnFailure recorder(schedule);
-  const ChaosRun run = run_tabular(data, 2, schedule);
+  const ChaosRun run = run_tabular(tabular_dataset(), 2, schedule);
   EXPECT_GT(run.fault_stats.dropped, 0u);
-
-  auto& slos = obs::global_slos();
-  slos.add("net.fault.dropped value >= 1");     // faults were injected
-  slos.add("retry.attempts value >= 1");        // and absorbed by retries
-  slos.add("retry.gave_up value <= 0");         // without exhausting budgets
-  slos.add("evaluator.candidate.seconds p99 < 60");
-  const auto results = slos.evaluate();
-  slos.clear();
-
-  std::size_t evaluable = 0;
-  for (const auto& r : results) {
-    if (r.evaluable) {
-      ++evaluable;
-      EXPECT_TRUE(r.pass) << r.spec.text << " observed " << r.observed;
-    }
-  }
-  EXPECT_GE(evaluable, 3u);
-  EXPECT_GE(obs::counter("slo.evaluations").value(), evaluable);
+  EXPECT_GE(obs::counter("net.fault.dropped").value(), 1u);
+  EXPECT_GE(obs::counter("retry.attempts").value(), 1u);
+  EXPECT_EQ(obs::counter("retry.gave_up").value(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -655,12 +638,6 @@ void exercise_fault_metrics() {
                                      &shard.registry(), "golden-src", tiny);
     reporter.flush();
   }
-  {  // slo.evaluations + slo.violations: any evaluation registers them
-    auto& slos = obs::global_slos();
-    slos.add("retry.attempts value >= 0");
-    slos.evaluate();
-    slos.clear();
-  }
   {  // kernel.gemm.calls + kernel.gemm.flops: any matmul registers them
     Matrix a(2, 3);
     Matrix b(3, 2);
@@ -717,17 +694,19 @@ TEST(Chaos, FaultMetricNamesMatchGoldenFile) {
         << "golden metric not registered: " << name;
   }
   // ...and the fixed fault/retry/executor families must not grow or get
-  // renamed without the golden file (and README) being updated.
-  // Instance-scoped (`#`) and per-op (`eval.darr_degraded.<op>`) names
-  // are excluded: their membership depends on how many instances/ops a
-  // run touches. The per-region `prof.<region>.*` counters are likewise
-  // NOT a strict family — region names are defined at obs::Region call
-  // sites and grow with instrumentation; only the fixed `prof.scopes`
-  // counter is contracted.
+  // renamed without the golden file (and README) being updated. Per-op
+  // (`eval.darr_degraded.<op>`) names are excluded: their membership
+  // depends on which ops a run touches. The per-region `prof.<region>.*`
+  // counters are likewise NOT a strict family — region names are defined
+  // at obs::Region call sites and grow with instrumentation; only the
+  // fixed `prof.scopes` counter is contracted. No name carries a
+  // per-instance `#<n>` segment: per-object totals live on their objects,
+  // not in the registry.
   const std::vector<std::string> families = {"net.fault.", "retry.",
                                              "pool.", "timerwheel."};
   for (const auto& name : registered) {
-    if (name.find('#') != std::string::npos) continue;
+    EXPECT_EQ(name.find('#'), std::string::npos)
+        << "per-instance metric name registered: " << name;
     for (const auto& family : families) {
       if (name.rfind(family, 0) == 0) {
         EXPECT_TRUE(expected.count(name))

@@ -9,6 +9,7 @@
 #include "src/dist/replication.h"
 #include "src/dist/remote_service.h"
 #include "src/ml/linear.h"
+#include "src/obs/metrics.h"
 #include "src/util/random.h"
 
 namespace coda::dist {
@@ -55,26 +56,47 @@ TEST_F(ReplicationFixture, SmallUpdatesReplicateByDelta) {
 
 TEST_F(ReplicationFixture, FailoverServesFromReplica) {
   group.put("o", pattern(2048, 1));
-  EXPECT_EQ(group.serving_site(), 0u);
-  group.fail_site(0);  // primary site disaster
-  EXPECT_EQ(group.serving_site(), 1u);
+  EXPECT_EQ(group.serving_site("o"), 0u);
+  net.crash_node(us, net.now(), 1e9);  // primary site disaster
+  EXPECT_EQ(group.serving_site("o"), 1u);
   const auto result = group.fetch("o", client, 0);
   EXPECT_EQ(result.full_value, pattern(2048, 1));
 
-  group.fail_site(1);
-  EXPECT_EQ(group.serving_site(), 2u);
-  group.fail_site(2);
+  net.crash_node(eu, net.now(), 1e9);
+  EXPECT_EQ(group.serving_site("o"), 2u);
+  net.crash_node(ap, net.now(), 1e9);
   EXPECT_THROW(group.fetch("o", client, 0), NotFound);
 }
 
 TEST_F(ReplicationFixture, FailedSiteMissesUpdatesThenResyncs) {
   group.put("o", pattern(1024, 1));
-  group.fail_site(2);
+  net.crash_node(ap, net.now(), net.now() + 10.0);
   group.put("o", pattern(1024, 2));
   group.put("o", pattern(1024, 3));
   EXPECT_EQ(group.site(2).version("o"), 1u);  // stale while down
-  group.recover_site(2);
+  EXPECT_THROW(group.resync(2), InvalidArgument);  // still inside its window
+  net.advance(10.0);  // the crash window ends
   group.resync(2);
+  EXPECT_EQ(group.site(2).version("o"), group.site(0).version("o"));
+  EXPECT_EQ(group.site(2).value("o"), pattern(1024, 3));
+}
+
+TEST_F(ReplicationFixture, CrashedReplicaCatchesUpOnTheNextPut) {
+  auto& failed = obs::counter("replication.failed_syncs");
+  group.put("o", pattern(1024, 1));
+  const std::uint64_t failed_before = failed.value();
+
+  net.crash_node(ap, net.now(), net.now() + 5.0);
+  group.put("o", pattern(1024, 2));  // ap is down: its sync is skipped
+  EXPECT_EQ(failed.value() - failed_before, 1u);
+  EXPECT_EQ(group.sync_stats().failed_syncs, 1u);
+  EXPECT_EQ(group.serving_site("o"), 0u);  // a replica's crash moves nothing
+  EXPECT_EQ(group.site(2).version("o"), 1u);
+  EXPECT_EQ(group.site(2).value("o"), pattern(1024, 1));
+
+  net.advance(5.0);  // the window ends; the next put() catches ap up
+  group.put("o", pattern(1024, 3));
+  EXPECT_EQ(failed.value() - failed_before, 1u);
   EXPECT_EQ(group.site(2).version("o"), group.site(0).version("o"));
   EXPECT_EQ(group.site(2).value("o"), pattern(1024, 3));
 }
@@ -86,11 +108,51 @@ TEST_F(ReplicationFixture, ClientsKeepReadingAcrossFailover) {
   group.put("o", value);
   auto r1 = group.fetch("o", client, 0);
   EXPECT_EQ(r1.version, 1u);
-  group.fail_site(0);
+  net.crash_node(us, net.now(), 1e9);
   value[0] ^= 1;
-  group.put("o", value);  // primary store object still updated via group
+  group.put("o", value);  // written through the promoted replica
   auto r2 = group.fetch("o", client, r1.version);
   EXPECT_EQ(r2.version, 2u);
+}
+
+TEST_F(ReplicationFixture, RecoveredPrimaryNeverServesAnOlderVersion) {
+  group.put("o", pattern(1024, 1));
+  net.crash_node(us, net.now(), net.now() + 5.0);
+  group.put("o", pattern(1024, 2));  // through the promoted replica
+  const auto seen = group.fetch("o", client, 0);
+  EXPECT_EQ(seen.version, 2u);
+  EXPECT_EQ(group.site(0).version("o"), 1u);  // us missed the write
+
+  net.advance(5.0);  // us is back, still holding version 1
+  EXPECT_EQ(group.serving_site("o"), 1u);  // the freshest site keeps serving
+  const auto after = group.fetch("o", client, 0);
+  EXPECT_GE(after.version, seen.version);
+  EXPECT_EQ(after.full_value, pattern(1024, 2));
+
+  group.put("o", pattern(1024, 3));  // catches us up
+  for (std::size_t i = 0; i < group.n_sites(); ++i) {
+    EXPECT_EQ(group.site(i).version("o"), 3u);
+    EXPECT_EQ(group.site(i).value("o"), pattern(1024, 3));
+  }
+  EXPECT_EQ(group.serving_site("o"), 0u);  // current again: the primary
+}
+
+TEST_F(ReplicationFixture, RecoveredPrimaryCatchesUpOnResync) {
+  group.put("o", pattern(1024, 1));
+  net.crash_node(us, net.now(), net.now() + 5.0);
+  group.put("o", pattern(1024, 2));
+  group.put("o", pattern(1024, 3));
+  net.advance(5.0);
+  group.resync(0);
+  EXPECT_EQ(group.site(0).version("o"), 3u);
+  EXPECT_EQ(group.site(0).value("o"), pattern(1024, 3));
+  EXPECT_EQ(group.serving_site("o"), 0u);
+  // The primary never held version 2, so a reader holding it from a
+  // replica gets the full value rather than a delta from a wrong base.
+  const auto r = group.fetch("o", client, 2);
+  EXPECT_EQ(r.version, 3u);
+  EXPECT_FALSE(r.is_delta);
+  EXPECT_EQ(r.full_value, pattern(1024, 3));
 }
 
 TEST(ReplicatedStore, NeedsAtLeastTwoSites) {

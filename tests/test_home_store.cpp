@@ -33,6 +33,18 @@ TEST_F(StoreFixture, VersionsIncreaseMonotonically) {
   EXPECT_EQ(store.value("o1"), pattern(100, 2));
 }
 
+TEST_F(StoreFixture, PutVersionJumpsAndKeepsDeltasOnRealBases) {
+  store.put("o1", pattern(100, 1));
+  store.put_version("o1", pattern(100, 3), 3);  // a replica skipping v2
+  EXPECT_EQ(store.version("o1"), 3u);
+  EXPECT_EQ(store.value("o1"), pattern(100, 3));
+  EXPECT_EQ(store.retained_delta_bases("o1"),
+            (std::vector<std::uint64_t>{1}));
+  EXPECT_THROW(store.put_version("o1", pattern(100, 4), 3), InvalidArgument);
+  store.put("o1", pattern(100, 4));
+  EXPECT_EQ(store.version("o1"), 4u);
+}
+
 TEST_F(StoreFixture, MissingObjectThrows) {
   EXPECT_THROW(store.value("nope"), NotFound);
   EXPECT_THROW(store.fetch("nope", client_node, 0), NotFound);

@@ -1,8 +1,8 @@
-// Fleet telemetry tests (DESIGN.md §12): time-series rings, snapshot
-// deltas and their loss-safe wire protocol, per-node MetricScope isolation
-// under concurrency, the TelemetryCollector's aggregates, the SLO
-// evaluator, and the end-to-end invariant that a cooperative run's
-// collected fleet telemetry reproduces the process-wide registry.
+// Fleet telemetry tests (DESIGN.md §12): snapshot deltas and their
+// loss-safe wire protocol, per-node MetricScope isolation under
+// concurrency, the TelemetryCollector's aggregates, and the end-to-end
+// invariant that a cooperative run's collected fleet telemetry reproduces
+// the process-wide registry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,38 +23,6 @@
 
 namespace coda {
 namespace {
-
-// ---------------------------------------------------------------------------
-// TimeSeries
-
-TEST(TimeSeries, RingKeepsNewestAndCountsDrops) {
-  obs::TimeSeries series(4);
-  for (int i = 0; i < 10; ++i) {
-    series.sample(static_cast<double>(i), static_cast<double>(i * i));
-  }
-  EXPECT_EQ(series.size(), 4u);
-  EXPECT_EQ(series.total_samples(), 10u);
-  EXPECT_EQ(series.dropped(), 6u);
-  const auto points = series.points();
-  ASSERT_EQ(points.size(), 4u);
-  // Oldest first: samples 6..9 survive.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(points[i].t, static_cast<double>(6 + i));
-    EXPECT_DOUBLE_EQ(points[i].value, static_cast<double>((6 + i) * (6 + i)));
-  }
-  EXPECT_DOUBLE_EQ(series.latest().value, 81.0);
-}
-
-TEST(TimeSeries, RatePerSecondFromEndpoints) {
-  obs::TimeSeries series(8);
-  EXPECT_DOUBLE_EQ(series.rate_per_second(), 0.0);
-  series.sample(10.0, 100.0);
-  EXPECT_DOUBLE_EQ(series.rate_per_second(), 0.0);  // one point: no rate
-  series.sample(20.0, 400.0);
-  EXPECT_DOUBLE_EQ(series.rate_per_second(), 30.0);
-  series.sample(20.0, 500.0);  // same timestamp allowed
-  EXPECT_DOUBLE_EQ(series.rate_per_second(), 40.0);
-}
 
 // ---------------------------------------------------------------------------
 // Histogram::merge
@@ -229,56 +197,28 @@ TEST(MetricScope, ResetAllZeroesShardValuesButKeepsRegistrations) {
 // ---------------------------------------------------------------------------
 // TelemetryCollector
 
-TEST(TelemetryCollector, FleetAggregatesAndTopK) {
+TEST(TelemetryCollector, FleetAggregatesAcrossNodes) {
   obs::TelemetryCollector collector;
-  collector.track("work.done");
 
   obs::MetricsSnapshot a;
   a.counters["work.done"] = 10;
   obs::MetricsSnapshot b;
   b.counters["work.done"] = 30;
-  collector.ingest("alpha", 1.0, a);
-  collector.ingest("beta", 1.0, b);
+  collector.ingest("alpha", a);
+  collector.ingest("beta", b);
 
   EXPECT_EQ(collector.nodes(), (std::vector<std::string>{"alpha", "beta"}));
   EXPECT_EQ(collector.reports_ingested(), 2u);
   EXPECT_EQ(collector.fleet().counters.at("work.done"), 40u);
   EXPECT_EQ(collector.node_snapshot("alpha").counters.at("work.done"), 10u);
-
-  const auto top = collector.top_k("work.done", 2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].first, "beta");
-  EXPECT_DOUBLE_EQ(top[0].second, 30.0);
-  EXPECT_EQ(top[1].first, "alpha");
-}
-
-TEST(TelemetryCollector, TracksSeriesPerNodeAndFleetWide) {
-  obs::TelemetryCollector collector;
-  collector.track("work.done");
-  obs::MetricsSnapshot d;
-  d.counters["work.done"] = 10;
-  collector.ingest("alpha", 1.0, d);
-  collector.ingest("alpha", 2.0, d);  // +10 again at t=2
-
-  const auto node_series = collector.series("alpha", "work.done");
-  ASSERT_TRUE(node_series.has_value());
-  ASSERT_EQ(node_series->size(), 2u);
-  EXPECT_DOUBLE_EQ(node_series->latest().value, 20.0);
-  EXPECT_DOUBLE_EQ(collector.rate("alpha", "work.done"), 10.0);
-
-  const auto fleet_series = collector.series("", "work.done");
-  ASSERT_TRUE(fleet_series.has_value());
-  EXPECT_DOUBLE_EQ(fleet_series->latest().value, 20.0);
-
-  EXPECT_FALSE(collector.series("alpha", "untracked").has_value());
-  EXPECT_FALSE(collector.series("nobody", "work.done").has_value());
+  EXPECT_EQ(collector.node_snapshot("beta").counters.at("work.done"), 30u);
 }
 
 TEST(TelemetryCollector, DescribeDivergenceFlagsMismatch) {
   obs::TelemetryCollector collector;
   obs::MetricsSnapshot d;
   d.counters["work.done"] = 10;
-  collector.ingest("alpha", 1.0, d);
+  collector.ingest("alpha", d);
 
   obs::MetricsSnapshot expected;
   expected.counters["work.done"] = 10;
@@ -364,106 +304,6 @@ TEST(TelemetryReporter, ReconstructsHistogramsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// SLO evaluator
-
-TEST(Slo, ParsesTheOneLineSyntax) {
-  const obs::SloSpec spec = obs::parse_slo("eval.claim.wait p99 < 0.5");
-  EXPECT_EQ(spec.metric, "eval.claim.wait");
-  EXPECT_EQ(spec.stat, obs::SloSpec::Stat::kP99);
-  EXPECT_EQ(spec.cmp, obs::SloSpec::Cmp::kLt);
-  EXPECT_DOUBLE_EQ(spec.threshold, 0.5);
-
-  EXPECT_THROW(obs::parse_slo(""), InvalidArgument);
-  EXPECT_THROW(obs::parse_slo("too few"), InvalidArgument);
-  EXPECT_THROW(obs::parse_slo("m p99 < 0.5 extra"), InvalidArgument);
-  EXPECT_THROW(obs::parse_slo("m p98 < 0.5"), InvalidArgument);
-  EXPECT_THROW(obs::parse_slo("m p99 != 0.5"), InvalidArgument);
-  EXPECT_THROW(obs::parse_slo("m p99 < nope"), InvalidArgument);
-}
-
-TEST(Slo, EvaluatesAgainstRegistryAndCountsViolations) {
-  obs::reset_all();
-  obs::counter("test.slo.requests").inc(10);
-  auto& slos = obs::global_slos();
-  slos.add("test.slo.requests value >= 1");   // pass
-  slos.add("test.slo.requests value < 5");    // fail: 10 >= 5
-  slos.add("test.slo.absent value >= 1");     // not evaluable
-
-  const auto results = slos.evaluate();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].evaluable);
-  EXPECT_TRUE(results[0].pass);
-  EXPECT_TRUE(results[1].evaluable);
-  EXPECT_FALSE(results[1].pass);
-  EXPECT_FALSE(results[2].evaluable);
-
-  EXPECT_EQ(obs::counter("slo.evaluations").value(), 2u);
-  EXPECT_EQ(obs::counter("slo.violations").value(), 1u);
-  EXPECT_DOUBLE_EQ(obs::gauge("slo.checks.pass").value(), 1.0);
-  EXPECT_DOUBLE_EQ(obs::gauge("slo.checks.fail").value(), 1.0);
-
-  // results() returns the stored outcome; snapshot_json renders it.
-  EXPECT_EQ(slos.results().size(), 3u);
-  const std::string json = obs::snapshot_json();
-  EXPECT_NE(json.find("\"slo\":["), std::string::npos);
-  EXPECT_NE(json.find("test.slo.requests value < 5"), std::string::npos);
-}
-
-TEST(Slo, PrefersBoundFleetOverRegistry) {
-  obs::reset_all();
-  obs::counter("test.slo.fleetpref").inc(100);  // registry says 100
-  obs::TelemetryCollector collector;
-  obs::MetricsSnapshot d;
-  d.counters["test.slo.fleetpref"] = 3;  // the fleet reported 3
-  collector.ingest("alpha", 1.0, d);
-
-  auto& slos = obs::global_slos();
-  slos.add("test.slo.fleetpref value <= 5");
-  slos.bind_fleet(&collector);
-  const auto results = slos.evaluate();
-  slos.bind_fleet(nullptr);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].pass);
-  EXPECT_DOUBLE_EQ(results[0].observed, 3.0);
-}
-
-TEST(Slo, RateStatMeasuresChangeAcrossEvaluations) {
-  obs::reset_all();
-  auto& c = obs::counter("test.slo.rate");
-  auto& slos = obs::global_slos();
-  slos.add("test.slo.rate rate < 100");
-  c.inc(10);
-  slos.evaluate(0.0);
-  c.inc(50);  // +50 over 1 simulated second = rate 50
-  const auto results = slos.evaluate(1.0);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].evaluable);
-  EXPECT_DOUBLE_EQ(results[0].observed, 50.0);
-  EXPECT_TRUE(results[0].pass);
-}
-
-TEST(Slo, DashboardRendersFleetAndChecks) {
-  obs::reset_all();
-  obs::TelemetryCollector collector;
-  collector.track("work.done");
-  obs::MetricsSnapshot d;
-  d.counters["work.done"] = 10;
-  collector.ingest("alpha", 1.0, d);
-  auto& slos = obs::global_slos();
-  slos.add("work.done value >= 1");
-  slos.bind_fleet(&collector);  // the check reads collected telemetry
-
-  const std::string dash = obs::telemetry_dashboard(&collector);
-  slos.bind_fleet(nullptr);
-  EXPECT_NE(dash.find("coda telemetry"), std::string::npos);
-  EXPECT_NE(dash.find("alpha"), std::string::npos);
-  EXPECT_NE(dash.find("work.done"), std::string::npos);
-  EXPECT_NE(dash.find("== slo =="), std::string::npos);
-  EXPECT_NE(dash.find("PASS"), std::string::npos);
-  obs::global_slos().clear();
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: cooperative runs
 
 Dataset mini_dataset() {
@@ -546,9 +386,9 @@ TEST(FleetTelemetry, BackToBackRunsProduceIdenticalMetricsOutput) {
                                      {.n_clients = 1});
   const auto second = integer_metric_state();
 
-  // Identical keys AND identical values: instance ids were rewound by
-  // reset_all(), so the second run re-registered the same names, and a
-  // single-client run has no scheduling nondeterminism in its counters.
+  // Identical keys AND identical values: registry names carry no
+  // per-instance segment, so the second run registered the same names, and
+  // a single-client run has no scheduling nondeterminism in its counters.
   EXPECT_EQ(first, second);
 }
 
