@@ -65,20 +65,9 @@ int main() {
                 node.c_str(), snap.counters.size(), snap.gauges.size(),
                 snap.histograms.size());
   }
-  // Fleet hot-path table: the published prof.* counters summed over every
-  // node, in the profiler's deterministic (calls desc, region asc) order.
-  std::printf("== hot paths (fleet) ==\n");
-  for (const auto& row : fleet.hot_paths(12)) {
-    std::printf("  %s: calls=%llu self=%.6fs\n", row.region.c_str(),
-                static_cast<unsigned long long>(row.calls), row.self_seconds);
-  }
-  std::printf("\n");
-
-  // coda_top: the process-local profiler view — hottest regions by call
-  // count (deterministic for a fixed workload), with self/total time and
-  // derived kernel throughput. The fleet-wide counterpart is the
-  // "hot paths (fleet)" table above, reconstructed at the collector from
-  // published prof.* counters.
+  // coda_top: the hot-path view — hottest regions by call count
+  // (deterministic for a fixed workload), with self/total time and derived
+  // kernel throughput, summed over every client's node-keyed call tree.
   std::printf("%s\n", obs::prof::report().c_str());
 
   if (report.telemetry_divergence.empty()) {

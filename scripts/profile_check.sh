@@ -3,9 +3,11 @@
 # artifact and the bench_search halving races with --profile-folded, then
 # validates each export — it must be non-empty, every line must be
 # well-formed folded-stack text ("frame;frame;... <self_ns>"), and the
-# known regions must appear: eval.run, eval.candidate and the darr.client
-# ops for the cooperative search; eval.run, eval.candidate and eval.fold,
-# and no eval.search.run / eval.search.unit, for the halving races.
+# known frames must appear: eval.run, eval.candidate, the darr.client ops
+# and the client0 node frame for the cooperative search (the folded export
+# is where a per-client profile lives); eval.run, eval.candidate and
+# eval.fold, and no eval.search.run / eval.search.unit, for the halving
+# races.
 # Finally re-runs the pinned reset test to assert that obs::prof::reset()
 # leaves the profiler empty.
 set -euo pipefail
@@ -70,8 +72,9 @@ PYEOF
 echo "== profile check: $BENCH --profile-folded=$OUT =="
 "$BENCH" --profile-folded="$OUT" --benchmark_filter=__none__ >/dev/null
 # A cooperative search must profile the evaluation root and the DARR
-# client ops somewhere in the stack set (nodes prefix client stacks).
-check_folded "$OUT" "fig2" "eval.run eval.candidate darr.client."
+# client ops somewhere in the stack set, and keep each client's stacks
+# under its node frame (nodes prefix client stacks).
+check_folded "$OUT" "fig2" "eval.run eval.candidate darr.client. client0"
 
 # Exhaustive and halving searches run through the same engine loop, so a
 # halving run profiles under the same region names.

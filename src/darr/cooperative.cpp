@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/dist/telemetry.h"
-#include "src/obs/profiler.h"
 #include "src/obs/trace.h"
 #include "src/util/stopwatch.h"
 
@@ -85,14 +84,8 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
     outcome.seconds = client_timer.elapsed_seconds();
     // Ship this client's telemetry from its own thread: a deterministic
     // report point (end of evaluation) rather than a wall-clock timer,
-    // so back-to-back runs send identical report counts. The profile
-    // publish must precede the flush so the prof.* counters ride this
-    // report; it writes the node shard and the process-wide registry in
-    // equal increments (the describe_divergence invariant).
-    if (collector) {
-      obs::prof::publish_node(outcome.name);
-      reporters[i]->flush();
-    }
+    // so back-to-back runs send identical report counts.
+    if (collector) reporters[i]->flush();
   };
 
   Stopwatch wall;
@@ -132,10 +125,7 @@ CooperativeReport run_cooperative_fleet(std::size_t total_candidates,
     // Final sweep from the coordinating thread: the repository tier's
     // shard(s) plus a catch-up flush for every client (a no-op when
     // nothing changed since the client's own report; a retransmission
-    // when that report was lost). Publish any profile remainders first so
-    // the catch-up flush carries them (e.g. scopes that closed between a
-    // client's own publish and its session end).
-    obs::prof::publish_all();
+    // when that report was lost).
     for (auto& reporter : reporters) reporter->flush();
     report.telemetry_divergence = collector->describe_divergence(
         obs::snapshot_registry(obs::MetricsRegistry::instance()));

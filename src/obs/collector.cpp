@@ -48,38 +48,6 @@ MetricsSnapshot TelemetryCollector::fleet() const {
   return out;
 }
 
-std::vector<TelemetryCollector::HotPath> TelemetryCollector::hot_paths(
-    std::size_t k) const {
-  const MetricsSnapshot fleet_snapshot = fleet();
-  const std::string prefix = "prof.";
-  const std::string suffix = ".calls";
-  std::vector<HotPath> out;
-  for (const auto& [name, value] : fleet_snapshot.counters) {
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    HotPath row;
-    row.region = name.substr(
-        prefix.size(), name.size() - prefix.size() - suffix.size());
-    row.calls = value;
-    const auto self =
-        fleet_snapshot.counters.find(prefix + row.region + ".self_ns");
-    if (self != fleet_snapshot.counters.end()) {
-      row.self_seconds = static_cast<double>(self->second) * 1e-9;
-    }
-    out.push_back(std::move(row));
-  }
-  std::sort(out.begin(), out.end(), [](const HotPath& a, const HotPath& b) {
-    if (a.calls != b.calls) return a.calls > b.calls;
-    return a.region < b.region;
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
-}
-
 std::string TelemetryCollector::describe_divergence(
     const MetricsSnapshot& expected, double epsilon) const {
   const MetricsSnapshot fleet_snapshot = fleet();

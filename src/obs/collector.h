@@ -2,8 +2,8 @@
 // the "telemetry" SimNet node. Nodes ship MetricsSnapshot *deltas*
 // (src/dist/telemetry.h carries them over the simulated network, subject
 // to the fault model); the collector folds each delta into a per-node
-// accumulated snapshot and answers fleet queries — per-node snapshots,
-// the merged fleet aggregate and the fleet hot-path table.
+// accumulated snapshot and answers fleet queries — per-node snapshots
+// and the merged fleet aggregate.
 //
 // Thread safety: every method takes the collector's mutex. Ingest happens
 // from client worker threads; queries typically run after a bench/test
@@ -36,21 +36,6 @@ class TelemetryCollector {
   MetricsSnapshot node_snapshot(const std::string& node) const;
   /// Merge of every node's snapshot — the fleet aggregate.
   MetricsSnapshot fleet() const;
-
-  /// One row of the fleet hot-path table: a profiled region summed over
-  /// every reporting node, reconstructed from the published
-  /// prof.<region>.calls / prof.<region>.self_ns counters (ISSUE 9).
-  struct HotPath {
-    std::string region;
-    std::uint64_t calls = 0;
-    double self_seconds = 0.0;
-  };
-
-  /// Top `k` profiled regions in the fleet aggregate, ranked by
-  /// (calls desc, region asc) — the profiler's deterministic hot-path
-  /// ordering; self time is informational, never the sort key. Empty when
-  /// no node has published profile counters.
-  std::vector<HotPath> hot_paths(std::size_t k) const;
 
   /// "" when the fleet aggregate reproduces `expected` (same keys, equal
   /// integer state bit-for-bit, float state within `epsilon`); otherwise a

@@ -49,8 +49,6 @@ Regions& regions() {
 //     constructed node with store-release; readers walk with
 //     load-acquire. next_sibling is written before the release store and
 //     immutable afterwards.
-// pub_calls / pub_self_ns are the publish baselines — touched only under
-// the global publish mutex, never by the owner.
 
 struct PathNode {
   PathNode(RegionId r, std::string node, PathNode* p)
@@ -67,9 +65,6 @@ struct PathNode {
 
   std::atomic<PathNode*> first_child{nullptr};
   PathNode* next_sibling = nullptr;
-
-  std::uint64_t pub_calls = 0;
-  std::uint64_t pub_self_ns = 0;
 };
 
 struct ThreadArena {
@@ -81,7 +76,7 @@ struct ThreadArena {
 };
 
 struct Arenas {
-  std::mutex mutex;           // guards the arena list and publishing
+  std::mutex mutex;              // guards the arena list
   std::deque<ThreadArena> list;  // arenas live for the process
 };
 
@@ -140,7 +135,7 @@ PathNode* root_for(ThreadArena& arena, const std::string& node_name,
 // ---------------------------------------------------------------------------
 // Export-side tree walking. Snapshots are approximate under concurrent
 // mutation (a racing region lands wholly in the next snapshot); at quiesced
-// points (bench export, fleet flush, test assertions) they are exact.
+// points (bench export, test assertions) they are exact.
 
 template <typename Fn>
 void for_each_node(const ThreadArena& arena, Fn&& fn) {
@@ -340,66 +335,6 @@ std::string report(std::size_t max_rows) {
   return os.str();
 }
 
-void publish_node(const std::string& node) {
-  if (node.empty()) return;
-  struct Delta {
-    std::uint64_t calls = 0;
-    std::uint64_t self_ns = 0;
-  };
-  std::map<std::string, Delta> deltas;
-  Arenas& a = arenas();
-  std::lock_guard<std::mutex> lock(a.mutex);
-  for (ThreadArena& arena : a.list) {
-    for_each_node(arena, [&deltas, &node](PathNode* root, PathNode* n) {
-      if (root->node_name != node) return;
-      const std::uint64_t calls = n->calls.load(std::memory_order_relaxed);
-      const std::uint64_t self = self_ns_of(*n);
-      Delta& d = deltas[n->name];
-      if (calls > n->pub_calls) d.calls += calls - n->pub_calls;
-      if (self > n->pub_self_ns) d.self_ns += self - n->pub_self_ns;
-      n->pub_calls = calls;
-      n->pub_self_ns = self;
-    });
-  }
-  if (deltas.empty()) return;
-  // Equal increments on the shard and the process-wide registry keep the
-  // telemetry invariant (global == sum of shards) that
-  // TelemetryCollector::describe_divergence() checks.
-  MetricScope& scope = MetricScope::for_node(node);
-  for (const auto& [region, d] : deltas) {
-    if (d.calls > 0) {
-      obs::counter("prof." + region + ".calls").inc(d.calls);
-      scope.counter("prof." + region + ".calls").inc(d.calls);
-    }
-    if (d.self_ns > 0) {
-      obs::counter("prof." + region + ".self_ns").inc(d.self_ns);
-      scope.counter("prof." + region + ".self_ns").inc(d.self_ns);
-    }
-  }
-}
-
-void publish_all() {
-  std::vector<std::string> nodes;
-  {
-    Arenas& a = arenas();
-    std::lock_guard<std::mutex> lock(a.mutex);
-    for (const ThreadArena& arena : a.list) {
-      for (PathNode* root = arena.first_root.load(std::memory_order_acquire);
-           root != nullptr; root = root->next_sibling) {
-        if (root->node_name.empty()) continue;
-        if (root->calls.load(std::memory_order_relaxed) == 0 &&
-            root->first_child.load(std::memory_order_acquire) == nullptr) {
-          continue;
-        }
-        nodes.push_back(root->node_name);
-      }
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  for (const std::string& node : nodes) publish_node(node);
-}
-
 bool empty() {
   Arenas& a = arenas();
   std::lock_guard<std::mutex> lock(a.mutex);
@@ -420,8 +355,6 @@ void reset() {
     for_each_node(arena, [](PathNode*, PathNode* node) {
       node->calls.store(0, std::memory_order_relaxed);
       node->total_ns.store(0, std::memory_order_relaxed);
-      node->pub_calls = 0;
-      node->pub_self_ns = 0;
     });
   }
 }

@@ -9,13 +9,11 @@
 //   * folded-stack ("collapsed") text consumable by flamegraph.pl /
 //     speedscope — the `--profile-folded` bench flag and the
 //     CODA_PROFILE_DUMP environment variable both emit it;
-//   * a flat per-region table (the `coda_top` view) with self time,
-//     derived kernel GF/s, and deterministic (calls desc, name) ranking;
-//   * `prof.<region>.calls` / `prof.<region>.self_ns` counters published
-//     into a node's MetricScope shard AND the process-wide registry
-//     (publish_node()), so profile summaries ride TelemetryReporter
-//     snapshots and the TelemetryCollector can render a fleet-wide
-//     hot-path table.
+//   * a flat per-region table (the `coda_top` view, the one hot-path
+//     view) with self time, derived kernel GF/s, and deterministic
+//     (calls desc, name) ranking;
+//   * merged_paths(), the call paths keyed by node, which is the one
+//     copy of each client's profile (no metric mirrors it).
 //
 // Node attribution: a top-level region keys its call tree by the thread's
 // ambient obs::Tracer::current_node() (maintained by NodeScope /
@@ -108,23 +106,12 @@ void write_folded(const std::string& path);
 /// GEMM GF/s line.
 std::string report(std::size_t max_rows = 24);
 
-/// Publishes `node`'s profile as counter increments since the last
-/// publish: prof.<region>.calls and prof.<region>.self_ns land in the
-/// node's MetricScope shard AND the process-wide registry (equal
-/// increments, preserving the global-equals-sum-of-shards telemetry
-/// invariant). Call at deterministic flush points (run_cooperative_fleet
-/// does, just before each TelemetryReporter flush). No-op for "".
-void publish_node(const std::string& node);
-
-/// publish_node() for every node that has profiled work.
-void publish_all();
-
 /// True when no region has any recorded calls (e.g. right after reset()).
 bool empty();
 
-/// Zeroes every accumulator and the publish baselines; the interned
-/// regions and arena structure survive (references stay valid). Only safe
-/// while no Region is live on another thread. obs::reset_all() calls this.
+/// Zeroes every accumulator; the interned regions and arena structure
+/// survive (references stay valid). Only safe while no Region is live on
+/// another thread. obs::reset_all() calls this.
 void reset();
 
 }  // namespace coda::obs::prof

@@ -696,12 +696,9 @@ TEST(Chaos, FaultMetricNamesMatchGoldenFile) {
   // ...and the fixed fault/retry/executor families must not grow or get
   // renamed without the golden file (and README) being updated. Per-op
   // (`eval.darr_degraded.<op>`) names are excluded: their membership
-  // depends on which ops a run touches. The per-region `prof.<region>.*`
-  // counters are likewise NOT a strict family — region names are defined
-  // at obs::Region call sites and grow with instrumentation; only the
-  // fixed `prof.scopes` counter is contracted. No name carries a
-  // per-instance `#<n>` segment: per-object totals live on their objects,
-  // not in the registry.
+  // depends on which ops a run touches. No name carries a per-instance
+  // `#<n>` segment: per-object totals live on their objects, not in the
+  // registry.
   const std::vector<std::string> families = {"net.fault.", "retry.",
                                              "pool.", "timerwheel."};
   for (const auto& name : registered) {

@@ -7,9 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/eval_engine.h"
@@ -198,14 +201,48 @@ EvalEngine::Candidate keyed_candidate(const std::string& spec,
   return c;
 }
 
+// Forwards to a LocalResultCache and fulfils `denied` the first time a
+// claim on `watched` is refused.
+class DeniedClaimSignal final : public ResultCache {
+ public:
+  explicit DeniedClaimSignal(std::string watched)
+      : watched_(std::move(watched)) {}
+
+  std::optional<CachedResult> fetch(const std::string& key) override {
+    return inner_.fetch(key);
+  }
+  bool claim(const std::string& key) override {
+    const bool won = inner_.claim(key);
+    if (!won && key == watched_ && !signalled_.exchange(true)) {
+      denied.set_value();
+    }
+    return won;
+  }
+  void put(const std::string& key, const CachedResult& result) override {
+    inner_.put(key, result);
+  }
+  void release(const std::string& key) override { inner_.release(key); }
+
+  std::promise<void> denied;
+
+ private:
+  const std::string watched_;
+  LocalResultCache inner_;
+  std::atomic<bool> signalled_{false};
+};
+
 TEST(EvalEngine, ClaimBlockedCandidateIsRequeuedThenServed) {
-  // "peer" holds the claim for key K; it stores the result ~40ms in. The
-  // engine must keep scoring the other candidates, requeue the blocked one
-  // on the wheel, and serve it from the cache without computing locally.
-  LocalResultCache cache;
+  // "peer" holds the claim for key K; it stores the result only after the
+  // engine's first claim on K was denied, so the engine's sweep and first
+  // attempt always miss. The engine must keep scoring the other
+  // candidates, requeue the blocked one on the wheel, and serve it from
+  // the cache without computing locally.
+  DeniedClaimSignal cache("K");
   ASSERT_TRUE(cache.claim("K"));  // we act as the peer
   std::thread peer([&cache] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    // Bounded only so an engine that never asks fails the assertions
+    // below instead of hanging the suite.
+    cache.denied.get_future().wait_for(std::chrono::seconds(30));
     CachedResult r;
     r.mean_score = 42.0;
     r.stddev = 0.0;

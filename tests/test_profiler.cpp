@@ -13,6 +13,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -198,31 +199,10 @@ TEST(Profiler, TimerWheelRecordsFireLagForDelayedFires) {
                    outstanding_before);
 }
 
-TEST(Profiler, PublishNodeWritesEqualShardAndGlobalIncrements) {
-  obs::reset_all();
-  {
-    const obs::NodeScope node("profnode");
-    fixed_workload();
-  }
-  obs::prof::publish_node("profnode");
-
-  const std::uint64_t global_calls =
-      obs::counter("prof.test.prof.outer.calls").value();
-  const std::uint64_t shard_calls = obs::MetricScope::for_node("profnode")
-                                        .counter("prof.test.prof.outer.calls")
-                                        .value();
-  EXPECT_EQ(global_calls, 3u);
-  EXPECT_EQ(shard_calls, global_calls);
-
-  // Publishing again with no new work is a no-op (delta-based).
-  obs::prof::publish_node("profnode");
-  EXPECT_EQ(obs::counter("prof.test.prof.outer.calls").value(), 3u);
-}
-
-// Serial fleet (max_parallel_clients = 1, no faults): the hot-path table
-// reconstructed at the collector must reproduce back-to-back — same
-// regions, same order, same call counts.
-TEST(Profiler, SerialFleetHotPathTableReproduces) {
+// Serial fleet (max_parallel_clients = 1, no faults): the region table
+// must reproduce back-to-back — same regions, same order, same call
+// counts — and each client's profile stays keyed by its node.
+TEST(Profiler, SerialFleetRegionTableReproduces) {
   const auto run_fleet = [] {
     obs::reset_all();
     TEGraph g;
@@ -249,9 +229,18 @@ TEST(Profiler, SerialFleetHotPathTableReproduces) {
     EXPECT_TRUE(report.telemetry_divergence.empty())
         << report.telemetry_divergence;
 
+    std::set<std::string> nodes;
+    for (const auto& path : obs::prof::merged_paths()) {
+      nodes.insert(path.node);
+    }
+    for (std::size_t i = 0; i < options.n_clients; ++i) {
+      EXPECT_TRUE(nodes.count("client" + std::to_string(i)))
+          << "no profiled root under client" << i;
+    }
+
     std::vector<std::pair<std::string, std::uint64_t>> table;
-    for (const auto& row : report.telemetry->hot_paths(32)) {
-      table.emplace_back(row.region, row.calls);
+    for (const auto& row : obs::prof::region_table()) {
+      table.emplace_back(row.name, row.calls);
     }
     return table;
   };

@@ -342,31 +342,36 @@ TEST(FleetTelemetry, CooperativeRunFleetMatchesGlobalRegistry) {
   EXPECT_NE(obs::counter("telemetry.reports.sent").value(), 0u);
   EXPECT_EQ(obs::counter("telemetry.reports.ingested").value(),
             report.telemetry->reports_ingested());
-}
-
-// Integer-valued metric state of the process: global counters plus every
-// shard's counters. Timing histograms are excluded by construction —
-// their values are wall-clock dependent even for identical runs — and so
-// are the published prof.<region>.self_ns counters, which carry
-// nanosecond wall time by design (the profiler's determinism contract
-// covers the region set and call counts, never the times; the
-// prof.<region>.calls counters stay in the comparison).
-std::map<std::string, std::uint64_t> integer_metric_state() {
-  const auto wall_clock_valued = [](const std::string& name) {
-    static const std::string kSuffix = ".self_ns";
-    return name.size() > kSuffix.size() &&
-           name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                        kSuffix) == 0;
+  // The profile lives only in the profiler's node-keyed call trees: no
+  // registry, global or shard, mirrors it as prof.<region>.* counters.
+  const auto mirrored = [](const std::string& name) {
+    return name.rfind("prof.", 0) == 0 && name != "prof.scopes";
   };
-  std::map<std::string, std::uint64_t> state;
   for (const auto& [name, value] :
        obs::MetricsRegistry::instance().counter_values()) {
-    if (!wall_clock_valued(name)) state["global/" + name] = value;
+    EXPECT_FALSE(mirrored(name)) << "global counter " << name;
   }
   for (const auto& node : obs::MetricScope::nodes()) {
     const auto* scope = obs::MetricScope::find(node);
     for (const auto& [name, value] : scope->registry().counter_values()) {
-      if (!wall_clock_valued(name)) state[node + "/" + name] = value;
+      EXPECT_FALSE(mirrored(name)) << node << " counter " << name;
+    }
+  }
+}
+
+// Integer-valued metric state of the process: global counters plus every
+// shard's counters. Timing histograms are excluded by construction —
+// their values are wall-clock dependent even for identical runs.
+std::map<std::string, std::uint64_t> integer_metric_state() {
+  std::map<std::string, std::uint64_t> state;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::instance().counter_values()) {
+    state["global/" + name] = value;
+  }
+  for (const auto& node : obs::MetricScope::nodes()) {
+    const auto* scope = obs::MetricScope::find(node);
+    for (const auto& [name, value] : scope->registry().counter_values()) {
+      state[node + "/" + name] = value;
     }
   }
   return state;
