@@ -44,7 +44,7 @@ std::shared_ptr<const void> PrefixCache::lookup(const std::string& key) {
   if (it == entries_.end()) {
     ++misses_;
     miss.inc();
-    obs::prefix_event(/*hit=*/false);  // charged to the ambient candidate
+    obs::prefix_event(/*hit=*/false);  // charged to the fold being scored
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // move to front (MRU)
@@ -293,6 +293,7 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     bool computed_any = false;  ///< scored at least one fold locally
     int pruned_at = -1;
     double compute_seconds = 0.0;
+    obs::FoldCost cost;  ///< summed over the locally scored folds
     double claim_wait = 0.0;
     std::atomic<bool> failed{false};
     std::string failure_message;
@@ -310,6 +311,11 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     cands[i] = std::make_unique<Cand>();
     cands[i]->fold_scores.assign(n_folds, 0.0);
   }
+
+  // Process-wide only (no per-node scope), so fleet telemetry bytes do not
+  // depend on them.
+  static auto& folds_metric = obs::counter("eval.candidate.folds");
+  static auto& cached_metric = obs::counter("eval.candidate.cached");
 
   // Initial sweep: one batched lookup of the plain base keys answers every
   // candidate any client already finished (a peer, an earlier run, or a
@@ -343,7 +349,7 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
       out.from_cache = true;
       out.eval_seconds = per_key;
       obs::count_scoped("evaluator.candidate.cached");
-      obs::CandidateCosts::instance().record_cached(candidates[i].spec);
+      cached_metric.inc();
     }
   }
 
@@ -429,6 +435,11 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
     CandidateResult& out = report.results[i];
     out.claim_wait_seconds = c.claim_wait;
     out.eval_seconds = c.compute_seconds;
+    out.prepare_seconds = c.cost.prepare_seconds;
+    out.fit_seconds = c.cost.fit_seconds;
+    out.score_seconds = c.cost.score_seconds;
+    out.prefix_hits = c.cost.prefix_hits;
+    out.prefix_misses = c.cost.prefix_misses;
     out.pruned_at_rung = c.pruned_at;
     if (c.failed.load(std::memory_order_acquire)) {
       out.failed = true;
@@ -447,7 +458,7 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
       // Every rung segment arrived from peers.
       out.from_cache = true;
       obs::count_scoped("evaluator.candidate.cached");
-      obs::CandidateCosts::instance().record_cached(candidates[i].spec);
+      cached_metric.inc();
     }
     // A candidate that completed the full fold set over racing rungs
     // republishes under its plain base key, so exhaustive peers and future
@@ -500,8 +511,6 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
       if (!c.swept) {
         c.pruned_at = static_cast<int>(rung_index);
         obs::count_scoped("eval.search.pruned");
-        obs::CandidateCosts::instance().record_pruned(
-            candidates[i].spec, static_cast<int>(rung_index));
         ++pruned_total;
       }
       finalize_locked(i);
@@ -593,18 +602,19 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
       fold_region.tag("path", candidates[i].spec);
       fold_region.tag("fold", std::to_string(fold));
       fold_region.tag("rung", std::to_string(r));
-      // Ambient attribution: PrefixCache hits/misses and the fold phases
-      // inside score_fold are charged to this candidate's cost row.
-      obs::CandidateScope cost_scope(candidates[i].spec);
+      // The fold phases and PrefixCache lookups inside score_fold charge
+      // this fold-local accumulator; it joins the candidate's row below.
+      obs::FoldCost cost;
+      const obs::FoldCostScope cost_scope(cost);
       try {
         c.fold_scores[fold] = candidates[i].score_fold(fold, prefixes);
         const double elapsed = fold_region.stop();
         obs::observe_scoped("cv.fold.seconds", elapsed);
-        obs::CandidateCosts::instance().record_fold(candidates[i].spec,
-                                                    elapsed);
+        folds_metric.inc();
         local_fold_evals.fetch_add(1, std::memory_order_acq_rel);
         std::lock_guard<std::mutex> lock(mutex);
         c.compute_seconds += elapsed;
+        c.cost += cost;
       } catch (const std::exception& e) {
         bool expected = false;
         if (c.failed.compare_exchange_strong(expected, true,
@@ -670,8 +680,6 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
         if (adopted) {
           if (wait >= 0.0) {
             obs::observe_scoped("evaluator.claim.wait_seconds", wait);
-            obs::CandidateCosts::instance().record_claim_wait(
-                candidates[i].spec, wait);
           }
           unit_done(i);
           return;
@@ -731,8 +739,6 @@ EvaluationReport EvalEngine::run(std::vector<Candidate> candidates,
               c.block_start, std::chrono::steady_clock::now());
           c.claim_wait += wait;
           obs::observe_scoped("evaluator.claim.wait_seconds", wait);
-          obs::CandidateCosts::instance().record_claim_wait(
-              candidates[i].spec, wait);
         }
       }
     }

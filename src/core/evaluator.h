@@ -118,6 +118,15 @@ struct CandidateResult {
   /// (or the engine computed it locally). The candidate does not occupy a
   /// worker thread during this time — it sits on the engine's timer wheel.
   double claim_wait_seconds = 0.0;
+  /// Where eval_seconds went, summed over the locally scored folds: the
+  /// eval.fold.{prepare,fit,score} regions those folds closed, and their
+  /// PrefixCache lookups. Zero for a row served from the cooperative
+  /// cache; a pruned row covers the folds it ran before the cut.
+  double prepare_seconds = 0.0;
+  double fit_seconds = 0.0;
+  double score_seconds = 0.0;
+  std::uint64_t prefix_hits = 0;
+  std::uint64_t prefix_misses = 0;
   bool from_cache = false;
   bool failed = false;          ///< candidate threw during fit/predict
   std::string failure_message;

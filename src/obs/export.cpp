@@ -86,22 +86,6 @@ std::string snapshot_json(std::size_t max_spans) {
     out << '"' << json_escape(name) << "\":";
     append_histogram_json(out, *histogram);
   }
-  out << "},\"candidates\":{";
-  first = true;
-  for (const auto& [path, cost] : CandidateCosts::instance().snapshot()) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << json_escape(path) << "\":{\"folds\":" << cost.folds
-        << ",\"fold_seconds\":" << json_number(cost.fold_seconds)
-        << ",\"prefix_hits\":" << cost.prefix_hits
-        << ",\"prefix_misses\":" << cost.prefix_misses
-        << ",\"cached\":" << cost.cached
-        << ",\"prepare_seconds\":" << json_number(cost.prepare_seconds)
-        << ",\"fit_seconds\":" << json_number(cost.fit_seconds)
-        << ",\"score_seconds\":" << json_number(cost.score_seconds)
-        << ",\"claim_wait_seconds\":" << json_number(cost.claim_wait_seconds)
-        << ",\"pruned_at_rung\":" << cost.pruned_at_rung << '}';
-  }
   out << "},\"events\":{\"recorded\":" << EventLog::instance().recorded()
       << ",\"dropped\":" << EventLog::instance().dropped()
       << "},\"spans\":{\"recorded\":" << tracer.recorded()
@@ -197,19 +181,6 @@ std::string dump() {
       out << ": " << n << '\n';
     }
   }
-  out << "== candidates ==\n";
-  for (const auto& [path, cost] : CandidateCosts::instance().snapshot()) {
-    out << "  " << path << ": folds=" << cost.folds
-        << " fold_seconds=" << json_number(cost.fold_seconds)
-        << " prefix_hits=" << cost.prefix_hits
-        << " prefix_misses=" << cost.prefix_misses
-        << " cached=" << cost.cached
-        << " prepare=" << json_number(cost.prepare_seconds)
-        << " fit=" << json_number(cost.fit_seconds)
-        << " score=" << json_number(cost.score_seconds)
-        << " claim_wait=" << json_number(cost.claim_wait_seconds)
-        << " pruned_at_rung=" << cost.pruned_at_rung << '\n';
-  }
   out << "== spans ==\n  recorded=" << tracer.recorded()
       << " dropped=" << tracer.dropped() << '\n'
       << "== events ==\n  recorded=" << EventLog::instance().recorded()
@@ -235,7 +206,6 @@ void reset_all() {
   MetricScope::reset_values();
   Tracer::instance().clear();
   EventLog::instance().clear();
-  CandidateCosts::instance().reset();
   prof::reset();
 }
 

@@ -1,14 +1,13 @@
 // Umbrella header for the observability subsystem: the metrics registry,
-// the span tracer, the flight recorder, per-candidate cost attribution,
-// the region profiler, and the exporters. See README.md for the
-// metric-name table, DESIGN.md §10 for context propagation and the
-// dual-clock model, and DESIGN.md §15 for the profiler.
+// the span tracer, the flight recorder, the region profiler, and the
+// exporters. See README.md for the metric-name table, DESIGN.md §10 for
+// context propagation and the dual-clock model, and DESIGN.md §15 for the
+// profiler.
 #pragma once
 
 #include <string>
 
 #include "src/obs/collector.h"
-#include "src/obs/costs.h"
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -17,10 +16,11 @@
 
 namespace coda::obs {
 
-/// Full JSON snapshot of the process-wide registry, tracer, and candidate
-/// cost table: {"counters": {...}, "gauges": {...}, "histograms": {...},
-/// "candidates": {...}, "spans": ...}. `max_spans` caps the span records
-/// included (most recent kept).
+/// Full JSON snapshot of the process-wide registry, flight recorder and
+/// tracer: {"counters": {...}, "gauges": {...}, "histograms": {...},
+/// "events": {...}, "spans": ...}. `max_spans` caps the span records
+/// included (most recent kept). Per-candidate cost lives in the
+/// EvaluationReport's CandidateResult rows, not here.
 std::string snapshot_json(std::size_t max_spans = 64);
 
 /// Human-readable text dump of the same data (counters/gauges sorted by
@@ -54,10 +54,10 @@ void trace_dump_if_env();
 
 /// Zeroes every metric (the process-wide registry AND every per-node
 /// MetricScope shard), clears the tracer (spans, anchors, and span/trace
-/// id sources), the flight recorder, the candidate cost table and the
-/// region profiler (prof::reset()) — full test isolation between
-/// seed-deterministic runs: two identical runs bracketed by reset_all()
-/// produce identical metrics output.
+/// id sources), the flight recorder and the region profiler
+/// (prof::reset()) — full test isolation between seed-deterministic runs:
+/// two identical runs bracketed by reset_all() produce identical metrics
+/// output.
 void reset_all();
 
 }  // namespace coda::obs

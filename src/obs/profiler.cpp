@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/obs/costs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
@@ -76,8 +75,9 @@ struct ThreadArena {
 };
 
 struct Arenas {
-  std::mutex mutex;              // guards the arena list
-  std::deque<ThreadArena> list;  // arenas live for the process
+  std::mutex mutex;                // guards both lists
+  std::deque<ThreadArena> list;    // arenas live for the process
+  std::vector<ThreadArena*> free;  // arenas of exited threads
 };
 
 Arenas& arenas() {
@@ -85,6 +85,7 @@ Arenas& arenas() {
   return *a;
 }
 
+// Trivially destructible, so the hot path reads it without a TLS guard.
 struct ThreadState {
   ThreadArena* arena = nullptr;
   PathNode* current = nullptr;
@@ -92,12 +93,34 @@ struct ThreadState {
 
 thread_local ThreadState t_state;
 
+// Hands the thread's arena back to the free list at thread exit. Its
+// totals stay in place for the exporters, and the mutex orders the old
+// owner's last writes before the next owner's first.
+struct ArenaLease {
+  ThreadArena* arena = nullptr;
+
+  ~ArenaLease() {
+    if (arena == nullptr) return;
+    Arenas& a = arenas();
+    std::lock_guard<std::mutex> lock(a.mutex);
+    a.free.push_back(arena);
+    t_state = ThreadState{};
+  }
+};
+
+thread_local ArenaLease t_lease;
+
 ThreadArena& acquire_arena() {
   if (t_state.arena == nullptr) {
     Arenas& a = arenas();
     std::lock_guard<std::mutex> lock(a.mutex);
-    a.list.emplace_back();
-    t_state.arena = &a.list.back();
+    if (a.free.empty()) {
+      t_state.arena = &a.list.emplace_back();
+    } else {
+      t_state.arena = a.free.back();
+      a.free.pop_back();
+    }
+    t_lease.arena = t_state.arena;
   }
   return *t_state.arena;
 }
@@ -348,6 +371,12 @@ bool empty() {
   return true;
 }
 
+std::size_t arena_count() {
+  Arenas& a = arenas();
+  std::lock_guard<std::mutex> lock(a.mutex);
+  return a.list.size();
+}
+
 void reset() {
   Arenas& a = arenas();
   std::lock_guard<std::mutex> lock(a.mutex);
@@ -362,6 +391,30 @@ void reset() {
 }  // namespace coda::obs::prof
 
 namespace coda::obs {
+
+namespace {
+thread_local FoldCost* t_fold_cost = nullptr;
+}  // namespace
+
+FoldCost& FoldCost::operator+=(const FoldCost& other) {
+  prepare_seconds += other.prepare_seconds;
+  fit_seconds += other.fit_seconds;
+  score_seconds += other.score_seconds;
+  prefix_hits += other.prefix_hits;
+  prefix_misses += other.prefix_misses;
+  return *this;
+}
+
+FoldCostScope::FoldCostScope(FoldCost& cost) : prev_(t_fold_cost) {
+  t_fold_cost = &cost;
+}
+
+FoldCostScope::~FoldCostScope() { t_fold_cost = prev_; }
+
+void prefix_event(bool hit) {
+  if (t_fold_cost == nullptr) return;
+  ++(hit ? t_fold_cost->prefix_hits : t_fold_cost->prefix_misses);
+}
 
 Region::Region(prof::RegionId region) { open(region, /*traced=*/false); }
 
@@ -414,9 +467,18 @@ double Region::stop() {
       std::memory_order_relaxed);
   prof::t_state.current = static_cast<prof::PathNode*>(prev_);
   if (span_) span_->close(end);
-  if (phase_ && !current_candidate().empty()) {
-    CandidateCosts::instance().record_phase(current_candidate(), *phase_,
-                                            *seconds_);
+  if (phase_ && t_fold_cost != nullptr) {
+    switch (*phase_) {
+      case Phase::kPrepare:
+        t_fold_cost->prepare_seconds += *seconds_;
+        break;
+      case Phase::kFit:
+        t_fold_cost->fit_seconds += *seconds_;
+        break;
+      case Phase::kScore:
+        t_fold_cost->score_seconds += *seconds_;
+        break;
+    }
   }
   return *seconds_;
 }

@@ -2,10 +2,11 @@
 // one instrumentation primitive, obs::Region: a RAII interval that reads
 // the steady clock once when it opens and once when it closes, and feeds
 // that pair to the profiler path node, to a span of the same name when
-// traced (trace.h), to the ambient candidate's phase cost when it is a
-// fold phase (costs.h), and to the caller through stop(). The hot path
-// takes no lock: two clock reads plus a few relaxed atomic operations on
-// a per-thread call-path arena. Arenas are merged at export time into
+// traced (trace.h), to the installed FoldCost when it is a fold phase,
+// and to the caller through stop(). The hot path takes no lock: two clock
+// reads plus a few relaxed atomic operations on a per-thread call-path
+// arena, which returns to a free list when its thread exits. Arenas are
+// merged at export time into
 //   * folded-stack ("collapsed") text consumable by flamegraph.pl /
 //     speedscope — the `--profile-folded` bench flag and the
 //     CODA_PROFILE_DUMP environment variable both emit it;
@@ -41,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/costs.h"
 #include "src/obs/trace.h"
 
 namespace coda::obs::prof {
@@ -114,6 +114,11 @@ bool empty();
 /// another thread. obs::reset_all() calls this.
 void reset();
 
+/// Arenas allocated so far. A thread's arena returns to a free list when
+/// the thread exits and the next new thread reuses it, so this is bounded
+/// by the peak count of live profiling threads (tests use it).
+std::size_t arena_count();
+
 }  // namespace coda::obs::prof
 
 namespace coda::obs {
@@ -125,6 +130,39 @@ prof::RegionId region_id() {
   static const prof::RegionId id = prof::intern(Name.chars);
   return id;
 }
+
+/// A fold phase, profiled as eval.fold.{prepare,fit,score}.
+enum class Phase : std::uint8_t { kPrepare = 0, kFit = 1, kScore = 2 };
+
+/// One fold's phase seconds and prefix-cache traffic. While a FoldCostScope
+/// installs one on a thread, every Region(Phase) closing there and every
+/// PrefixCache lookup made there adds to it; with none installed nothing
+/// is charged. The engine folds it into the candidate's CandidateResult.
+struct FoldCost {
+  double prepare_seconds = 0.0;
+  double fit_seconds = 0.0;
+  double score_seconds = 0.0;
+  std::uint64_t prefix_hits = 0;
+  std::uint64_t prefix_misses = 0;
+
+  FoldCost& operator+=(const FoldCost& other);
+};
+
+/// Installs `cost` as the calling thread's FoldCost for the scope's life.
+class FoldCostScope {
+ public:
+  explicit FoldCostScope(FoldCost& cost);
+  ~FoldCostScope();
+
+  FoldCostScope(const FoldCostScope&) = delete;
+  FoldCostScope& operator=(const FoldCostScope&) = delete;
+
+ private:
+  FoldCost* prev_;
+};
+
+/// Charges a prefix-cache hit or miss to the installed FoldCost, if any.
+void prefix_event(bool hit);
 
 /// Selects the traced Region constructor.
 inline constexpr struct Traced {} kTraced;
@@ -139,7 +177,7 @@ class Region {
   /// Profiled and traced under the ambient context.
   Region(prof::RegionId region, Traced);
   /// A fold phase: profiled as eval.fold.{prepare,fit,score} and charged
-  /// to current_candidate()'s phase cost (none when unattributed).
+  /// to the installed FoldCost (none when no FoldCostScope is live).
   explicit Region(Phase phase);
   ~Region() { stop(); }
 

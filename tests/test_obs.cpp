@@ -380,20 +380,14 @@ TEST(Export, TextDumpMentionsRegisteredNames) {
 }
 
 TEST(Export, SnapshotJsonIncludesCandidateCostsAndEventStats) {
-  {
-    CandidateScope scope("scaler/model");
-    prefix_event(true);
-    prefix_event(false);
-  }
-  CandidateCosts::instance().record_fold("scaler/model", 0.25);
   event(Severity::kInfo, "test.obs.export.event");
 
   const std::string json = snapshot_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"candidates\""), std::string::npos);
-  EXPECT_NE(json.find("\"scaler/model\""), std::string::npos);
-  EXPECT_NE(json.find("\"prefix_hits\""), std::string::npos);
+  // Per-candidate cost lives in the EvaluationReport rows only.
+  EXPECT_EQ(json.find("\"candidates\""), std::string::npos);
   EXPECT_NE(json.find("\"events\""), std::string::npos);
+  EXPECT_NE(json.find("\"recorded\""), std::string::npos);
 }
 
 TEST(Export, TraceRingStatsAreExportedAsMetrics) {
@@ -407,10 +401,8 @@ TEST(Export, TraceRingStatsAreExportedAsMetrics) {
 TEST(Obs, ResetAllClearsTracerEventsCostsAndIdSources) {
   { ScopedSpan span("test.obs.resetall.span"); }
   event(Severity::kInfo, "test.obs.resetall.event");
-  CandidateCosts::instance().record_fold("p", 0.1);
   ASSERT_FALSE(Tracer::instance().snapshot().empty());
   ASSERT_FALSE(EventLog::instance().snapshot().empty());
-  ASSERT_FALSE(CandidateCosts::instance().snapshot().empty());
 
   reset_all();
 
@@ -418,7 +410,6 @@ TEST(Obs, ResetAllClearsTracerEventsCostsAndIdSources) {
   EXPECT_EQ(Tracer::instance().recorded(), 0u);
   EXPECT_TRUE(Tracer::instance().anchors().empty());
   EXPECT_TRUE(EventLog::instance().snapshot().empty());
-  EXPECT_TRUE(CandidateCosts::instance().snapshot().empty());
   // Span/trace id sources restart, so seeded replays get identical ids.
   ScopedSpan fresh("test.obs.resetall.fresh");
   EXPECT_EQ(fresh.id(), 1u);

@@ -3,8 +3,8 @@
 // threads, the pool.* / timerwheel.* metric families under a concurrent
 // submit storm (run under -DCODA_SANITIZE=thread via `ctest -L tsan`),
 // folded-export determinism, fleet hot-path reproducibility, the reset
-// contract, and obs::Region's one clock pair feeding its span and the
-// candidate phase costs.
+// contract, arena reuse across threads, and obs::Region's one clock pair
+// feeding its span and the report rows' phase costs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -309,10 +309,7 @@ TEST(Region, TracedSpanSharesNameAndClockWithProfile) {
   EXPECT_EQ(spans[0].duration_seconds, stopped);
 }
 
-// Fold phases are timed once: summed over candidates, the charged
-// prepare/fit/score seconds equal the eval.fold.* profile totals.
-TEST(Region, CandidatePhaseCostsEqualFoldPhaseProfile) {
-  obs::reset_all();
+TEGraph phase_graph() {
   TEGraph g;
   std::vector<std::unique_ptr<Transformer>> scalers;
   scalers.push_back(std::make_unique<StandardScaler>());
@@ -323,19 +320,28 @@ TEST(Region, CandidatePhaseCostsEqualFoldPhaseProfile) {
   models.push_back(std::make_unique<LinearRegression>());
   models.push_back(std::make_unique<DecisionTreeRegressor>());
   g.add_regression_models(std::move(models));
+  return g;
+}
+
+Dataset phase_data() {
   RegressionConfig cfg;
   cfg.n_samples = 120;
   cfg.n_features = 4;
   cfg.n_informative = 3;
-  EvalOptions options;
-  options.threads = 2;
-  GraphEvaluator(options).evaluate(g, make_regression(cfg), KFold(3));
+  return make_regression(cfg);
+}
 
+// Fold phases are timed once: summed over the report rows, each phase's
+// seconds equal its eval.fold.* profile total.
+void expect_rows_match_fold_phase_profile(
+    const std::vector<const EvaluationReport*>& reports) {
   double charged[3] = {0.0, 0.0, 0.0};
-  for (const auto& [path, cost] : obs::CandidateCosts::instance().snapshot()) {
-    charged[0] += cost.prepare_seconds;
-    charged[1] += cost.fit_seconds;
-    charged[2] += cost.score_seconds;
+  for (const EvaluationReport* report : reports) {
+    for (const CandidateResult& row : report->results) {
+      charged[0] += row.prepare_seconds;
+      charged[1] += row.fit_seconds;
+      charged[2] += row.score_seconds;
+    }
   }
   const char* names[3] = {"eval.fold.prepare", "eval.fold.fit",
                           "eval.fold.score"};
@@ -349,6 +355,54 @@ TEST(Region, CandidatePhaseCostsEqualFoldPhaseProfile) {
     ASSERT_GT(profiled, 0.0);
     EXPECT_NEAR(charged[phase], profiled, 1e-12 * profiled);
   }
+}
+
+TEST(Region, CandidatePhaseCostsEqualFoldPhaseProfile) {
+  obs::reset_all();
+  EvalOptions options;
+  options.threads = 2;
+  const EvaluationReport report =
+      GraphEvaluator(options).evaluate(phase_graph(), phase_data(), KFold(3));
+  expect_rows_match_fold_phase_profile({&report});
+}
+
+// The same identity on two clients searching concurrently, one thread
+// each: every fold lands in exactly one client's rows.
+TEST(Region, FleetPhaseCostsEqualFoldPhaseProfile) {
+  obs::reset_all();
+  const auto fleet = darr::run_cooperative_search(
+      phase_graph(), phase_data(), KFold(3), Metric::kRmse,
+      {.n_clients = 2});
+  std::vector<const EvaluationReport*> reports;
+  for (const auto& client : fleet.clients) reports.push_back(&client.report);
+  expect_rows_match_fold_phase_profile(reports);
+}
+
+// An exited thread's arena goes back to a free list for the next thread,
+// so back-to-back runs, each spinning up and joining its own workers, do
+// not grow the profiler.
+TEST(Profiler, ArenaCountIsBoundedByLiveThreads) {
+  TEGraph g;
+  std::vector<std::unique_ptr<Transformer>> scalers;
+  scalers.push_back(std::make_unique<NoOp>());
+  g.add_feature_scalers(std::move(scalers));
+  std::vector<std::unique_ptr<Estimator>> models;
+  models.push_back(std::make_unique<LinearRegression>());
+  g.add_regression_models(std::move(models));
+  RegressionConfig cfg;
+  cfg.n_samples = 20;
+  cfg.n_features = 2;
+  cfg.n_informative = 2;
+  const Dataset data = make_regression(cfg);
+  EvalOptions options;
+  options.threads = 2;
+  const GraphEvaluator evaluator(options);
+
+  // Each run keeps at most 3 profiling threads live beside this one: its
+  // 2 workers and its timer wheel.
+  const std::size_t before = obs::prof::arena_count();
+  for (int run = 0; run < 1000; ++run) evaluator.evaluate(g, data, KFold(2));
+  EXPECT_LE(obs::prof::arena_count(), before + 4);
 }
 
 }  // namespace

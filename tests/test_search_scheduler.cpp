@@ -20,7 +20,6 @@
 #include "src/ml/knn.h"
 #include "src/ml/linear.h"
 #include "src/ml/scalers.h"
-#include "src/obs/costs.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 
@@ -410,7 +409,6 @@ TEST(SearchScheduler, FinalRungSurvivorsPublishPlainBaseKeys) {
 
 TEST(SearchScheduler, SearchMetricsAndPrunedCostsAreRecorded) {
   obs::MetricsRegistry::instance().reset();
-  obs::CandidateCosts::instance().reset();
   EvalOptions options;
   options.threads = 2;
   options.search.strategy = SearchStrategy::kHalving;
@@ -425,16 +423,6 @@ TEST(SearchScheduler, SearchMetricsAndPrunedCostsAreRecorded) {
             report.pruned_candidates);
   EXPECT_EQ(reg.find_counter("eval.search.fold_evals_saved").value_or(0),
             plan.exhaustive_fold_evals() - plan.total_fold_evals());
-
-  // CandidateCosts mirrors the report: pruned rows carry the rung and the
-  // folds they actually ran (the --metrics-json `pruned_at_rung` column).
-  const auto costs = obs::CandidateCosts::instance().snapshot();
-  for (const auto& c : report.results) {
-    const auto it = costs.find(c.spec);
-    ASSERT_NE(it, costs.end()) << c.spec;
-    EXPECT_EQ(it->second.pruned_at_rung, c.pruned_at_rung) << c.spec;
-    EXPECT_EQ(it->second.folds, c.fold_scores.size()) << c.spec;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -328,27 +328,53 @@ TEST(Trace, CandidateCostsAttributeFoldsAndCacheTraffic) {
       darr::run_cooperative_search(graph(), dataset(), KFold(3),
                                    Metric::kRmse, {.n_clients = 2});
 
-  const auto costs = obs::CandidateCosts::instance().snapshot();
-  ASSERT_EQ(costs.size(), 9u);  // one row per candidate path
+  std::map<std::string, std::size_t> folds_by_path;
   std::size_t folds = 0;
   std::size_t cached = 0;
-  for (const auto& [path, cost] : costs) {
-    SCOPED_TRACE(path);
-    // Each candidate was either evaluated (3 folds) or served from the
-    // repository — and with two clients both happen at least once.
-    EXPECT_TRUE(cost.folds == 3 || cost.cached > 0);
-    if (cost.folds > 0) {
-      EXPECT_GT(cost.fold_seconds, 0.0);
-    }
-    folds += cost.folds;
-    cached += cost.cached;
-  }
-  EXPECT_EQ(folds, 9u * 3u);  // zero-redundancy: every fold computed once
   std::size_t served = 0;
+  std::uint64_t prefix_hits = 0;
+  std::uint64_t prefix_misses = 0;
   for (const auto& client : report.clients) {
+    ASSERT_EQ(client.report.results.size(), 9u);  // one row per path
+    folds += client.report.fold_evaluations;
     served += client.served_from_cache;
+    for (const CandidateResult& row : client.report.results) {
+      SCOPED_TRACE(client.name + " " + row.spec);
+      const double phases =
+          row.prepare_seconds + row.fit_seconds + row.score_seconds;
+      if (row.from_cache) {
+        // Served from the repository: no phase time, no prefix lookups.
+        ++cached;
+        EXPECT_EQ(phases, 0.0);
+        EXPECT_EQ(row.prefix_hits + row.prefix_misses, 0u);
+        continue;
+      }
+      folds_by_path[row.spec] += row.fold_scores.size();
+      // The phases run inside the fold regions eval_seconds sums.
+      EXPECT_GT(row.fit_seconds, 0.0);
+      EXPECT_LE(phases, row.eval_seconds);
+      prefix_hits += row.prefix_hits;
+      prefix_misses += row.prefix_misses;
+    }
   }
+  // Zero redundancy: every path's 3 folds were computed once, fleet-wide.
+  ASSERT_EQ(folds_by_path.size(), 9u);
+  for (const auto& [path, path_folds] : folds_by_path) {
+    EXPECT_EQ(path_folds, 3u) << path;
+  }
+  EXPECT_EQ(folds, 9u * 3u);
   EXPECT_EQ(cached, served);
+  EXPECT_GT(cached, 0u);
+  // Each count lands on the one process-wide counter exactly once, and
+  // every prefix lookup happened inside some client's fold.
+  const auto& reg = obs::MetricsRegistry::instance();
+  EXPECT_EQ(reg.find_counter("eval.candidate.folds").value_or(0), folds);
+  EXPECT_EQ(reg.find_counter("eval.candidate.cached").value_or(0), cached);
+  EXPECT_EQ(reg.find_counter("eval.prefix_cache.hit").value_or(0),
+            prefix_hits);
+  EXPECT_EQ(reg.find_counter("eval.prefix_cache.miss").value_or(0),
+            prefix_misses);
+  EXPECT_GT(prefix_misses, 0u);
 }
 
 }  // namespace
